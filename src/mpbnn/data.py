@@ -210,10 +210,6 @@ def make_splits(
     return splits
 
 
-def standardized_arrays(ds: Dataset, idx: np.ndarray, std: Standardizer):
-    return std.transform_features(ds.features[idx]), std.transform_labels(ds.labels[idx])
-
-
 def derived_seed(base: int, *tags) -> int:
     """Deterministic child seed for one (phase, rate, split) work unit."""
     return int(np.random.SeedSequence((base, *tags)).generate_state(1)[0])

@@ -65,12 +65,13 @@ def _empirical(draws: np.ndarray) -> McEstimate:
     offset = centered.mean(axis=0)
     mean = shift + offset
     centered -= offset
-    cov = centered.T @ centered / (s - 1)
-    se_mean = centered.std(axis=0, ddof=1) / np.sqrt(s)
+    gram = centered.T @ centered
+    cov = gram / (s - 1)
+    se_mean = np.sqrt(np.diagonal(cov) / s)
     # Var[(c_i c_j)] / s via second moments of the centered products.
     sq = centered * centered
     second = sq.T @ sq / s
-    first = centered.T @ centered / s
+    first = gram / s
     var_prod = np.maximum(second - first * first, 0.0)
     se_cov = np.sqrt(var_prod / s)
     return McEstimate(mean, cov, se_mean, se_cov, s)

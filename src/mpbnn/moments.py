@@ -7,6 +7,12 @@ are supported: a dense symmetric matrix ("full") and a per-unit variance
 vector ("diag").  The representation is fixed per model run; mixing modes
 in one operation is an error.
 
+Network inputs are deterministic, and dropout and the gated activations
+keep a covariance diagonal, so a full-mode pass carries per-unit variances
+up to its first dense layer, which expands them to W diag(v) Wᵀ.  Only the
+dense kernel reads the mode; every other kernel picks its formula from the
+covariance's shape.
+
 The public operations work on single examples wrapped in `MomentVector`.
 Internally every formula is implemented once, in batched kernels operating
 on arrays with a leading batch axis; training and the experiment runner
@@ -169,36 +175,41 @@ class GateRates:
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels.  mean: (B, n); cov: (B, n, n) in full mode, (B, n) in diag.
+# Batched kernels.  mean: (B, n); cov: (B, n, n) in full mode, (B, n) in diag
+# mode and in full mode below the first dense layer.
 # Each returns (out_mean, out_cov, ctx); ctx carries what backward needs.
 # ---------------------------------------------------------------------------
-
-
-def _stack_rmul(x, m):
-    """Right-multiply a stack (B, p, q) by (q, r) as one flat GEMM."""
-    b, p, q = x.shape
-    return (x.reshape(b * p, q) @ m).reshape(b, p, m.shape[1])
 
 
 def _dense_fwd(mean, cov, w, b, mode):
     out_mean = mean @ w.T + b
     if mode == FULL:
-        # W Σ Wᵀ via two flat GEMMs; Σ Wᵀ is reused by the backward pass.
-        swt = _stack_rmul(cov, w.T)
-        raw = _stack_rmul(swt.transpose(0, 2, 1), w.T)
-        out_cov = 0.5 * (raw + raw.transpose(0, 2, 1))
+        # W Σ Wᵀ as (W Σ) Wᵀ, the second product one flat GEMM; W Σ is kept
+        # for the backward pass.  A diagonal Σ = diag(v) gives W Σ = W ∘ v.
+        m, n = w.shape
+        wsig = w * cov[:, None, :] if cov.ndim == 2 else np.matmul(w, cov)
+        out_cov = (wsig.reshape(-1, n) @ w.T).reshape(-1, m, m)
         _clamp_diag_inplace(out_cov, "dense_propagate")
-        return out_mean, out_cov, (mean, cov, w, swt)
+        return out_mean, out_cov, (mean, w, wsig)
     out_cov = cov @ (w * w).T
     out_cov = _clamp_variances(out_cov, "dense_propagate")
-    return out_mean, out_cov, (mean, cov, w, None)
+    return out_mean, out_cov, (mean, w, cov)
+
+
+def _scale_offdiag(cov, gain, diag):
+    """gain_i gain_j cov_ij off the diagonal and `diag` on it, as one new
+    (B, n, n) array; used by the gates and their adjoints."""
+    out = gain[:, :, None] * gain[:, None, :]
+    out *= cov
+    np.einsum("bii->bi", out)[...] = diag
+    return out
 
 
 def _dropout_fwd(mean, cov, rate, mode):
     p = float(rate)
     q = 1.0 - p
     out_mean = q * mean
-    if mode == FULL:
+    if cov.ndim == 3:
         var = np.einsum("bii->bi", cov)
         out_cov = (q * q) * cov
         np.einsum("bii->bi", out_cov)[...] = q * var + p * q * mean * mean
@@ -223,21 +234,20 @@ def _gate_rates(mean, var, where):
 
 
 def _mp_gelu_fwd(mean, cov, mode):
-    var = np.einsum("bii->bi", cov) if mode == FULL else cov
+    var = np.einsum("bii->bi", cov) if cov.ndim == 3 else cov
     p, sigma, det = _gate_rates(mean, var, "mp_gelu_propagate")
     q = 1.0 - p
     out_mean = q * mean
     out_var = q * var + p * q * mean * mean
-    if mode == FULL:
-        out_cov = cov * (q[:, :, None] * q[:, None, :])
-        np.einsum("bii->bi", out_cov)[...] = out_var
+    if cov.ndim == 3:
+        out_cov = _scale_offdiag(cov, q, out_var)
     else:
         out_cov = out_var
     return out_mean, out_cov, (mean, var, cov, p, q, sigma, det)
 
 
 def _relu_fwd(mean, cov, mode):
-    var = np.einsum("bii->bi", cov) if mode == FULL else cov
+    var = np.einsum("bii->bi", cov) if cov.ndim == 3 else cov
     var = _clamp_variances(var, "relu_propagate")
     sigma = _counted_sqrt(var)
     det = sigma < SIGMA_FLOOR
@@ -255,9 +265,8 @@ def _relu_fwd(mean, cov, mode):
     out_var = np.where(det, 0.0, out_var)
     if np.any(det):
         out_mean = np.where(det, np.maximum(mean, 0.0), out_mean)
-    if mode == FULL:
-        out_cov = cov * (cdf[:, :, None] * cdf[:, None, :])
-        np.einsum("bii->bi", out_cov)[...] = out_var
+    if cov.ndim == 3:
+        out_cov = _scale_offdiag(cov, cdf, out_var)
     else:
         out_cov = out_var
     return out_mean, out_cov, (mean, var, cov, sigma, det, cdf, pdf, out_mean)

@@ -131,12 +131,6 @@ class ParameterSet:
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("non-finite parameter entries")
 
-    def zero_grads(self) -> None:
-        for g in self.grad_weights:
-            g[...] = 0.0
-        for g in self.grad_biases:
-            g[...] = 0.0
-
     def copy(self) -> "ParameterSet":
         return ParameterSet(
             [w.copy() for w in self.weights],
@@ -144,9 +138,6 @@ class ParameterSet:
             [g.copy() for g in self.grad_weights],
             [g.copy() for g in self.grad_biases],
         )
-
-    def num_parameters(self) -> int:
-        return sum(w.size for w in self.weights) + sum(b.size for b in self.biases)
 
 
 def _validate_build_args(input_dim, width, dropout_rate):
@@ -239,7 +230,7 @@ def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
         raise MomentError("non-finite entries in input batch")
     mode = config.covariance_mode
     mean = xs.copy()
-    cov = moments._zero_cov(xs.shape[0], xs.shape[1], mode)
+    cov = np.zeros_like(mean)  # per-unit variances up to the first dense layer
     dense_i = 0
     for layer in config.layers:
         if layer.kind == DENSE:

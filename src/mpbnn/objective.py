@@ -85,9 +85,10 @@ def _ell2_bwd(ctx, g_ell):
     d_s12 = g_ell * (resid * inv_scale)
     d_s22 = g_ell * (-0.25 * quad * inv_scale)
     if mode == FULL:
-        g_cov = np.zeros((batch, 2, 2))
+        # Symmetric adjoint: ∂/∂Σ12 splits evenly over the two entries.
+        g_cov = np.empty((batch, 2, 2))
         g_cov[:, 0, 0] = d_s11
-        g_cov[:, 0, 1] = d_s12
+        g_cov[:, 0, 1] = g_cov[:, 1, 0] = 0.5 * d_s12
         g_cov[:, 1, 1] = d_s22
     else:
         g_cov = np.stack([d_s11, d_s22], axis=1)

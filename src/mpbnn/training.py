@@ -42,14 +42,19 @@ from .network import (
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
-def single_thread_blas():
-    """Pin BLAS to one thread; threaded GEMM loses badly on these tiny shapes."""
-    try:
-        from threadpoolctl import threadpool_limits
+try:
+    from threadpoolctl import threadpool_limits
+except ImportError:
+    threadpool_limits = None
 
-        return threadpool_limits(limits=1)
-    except ImportError:
+
+def single_thread_blas():
+    """Pin BLAS to one thread; threaded GEMM loses badly on these tiny shapes.
+
+    A no-op when threadpoolctl is not installed."""
+    if threadpool_limits is None:
         return contextlib.nullcontext()
+    return threadpool_limits(limits=1)
 
 
 @dataclass(frozen=True)
@@ -78,33 +83,43 @@ class GradientSet:
 
 # ---------------------------------------------------------------------------
 # Per-layer backward kernels.  Adjoint conventions: g_mean is dL/d(mean) with
-# shape (B, n); g_cov is dL/d(cov) over the raw stored entries, (B, n, n) in
-# full mode (not assumed symmetric) or (B, n) in diag mode.
+# shape (B, n); g_cov is dL/d(cov), shaped like the forward covariance.  A
+# full covariance is a symmetric matrix, and its adjoint is taken as one too:
+# a symmetric g_cov with dL = Σ_ij g_ij dΣ_ij for every symmetric dΣ, so a
+# term that reads Σ_ij (i ≠ j) splits its derivative evenly over g_ij and
+# g_ji.  Every kernel maps a symmetric g_cov to a symmetric one.
 # ---------------------------------------------------------------------------
 
 
-def _dense_bwd(ctx, g_mean, g_cov, mode):
-    in_mean, in_cov, w, swt = ctx
-    g_mean_in = g_mean @ w
+def _dense_bwd(ctx, g_mean, g_cov, mode, input_grad=True):
+    """Parameter adjoints and, unless `input_grad` is false, input adjoints
+    (returned as None otherwise: nothing uses them below the first dense
+    layer, which is also the only place a full-mode input is diagonal)."""
+    in_mean, w, aux = ctx
     g_b = g_mean.sum(axis=0)
     g_w = g_mean.T @ in_mean
+    m, n = w.shape
     if mode == FULL:
-        g_sym = 0.5 * (g_cov + np.swapaxes(g_cov, -1, -2))
-        gw_stack = moments._stack_rmul(g_sym, w)
-        # wᵀ g w = (g w)ᵀ w for symmetric g
-        g_cov_in = moments._stack_rmul(gw_stack.transpose(0, 2, 1), w)
-        # Σ_b g_b (W Σ_b), with (W Σ_b) = (Σ_b Wᵀ)ᵀ from the forward cache
-        g_w += 2.0 * np.tensordot(g_sym, swt, axes=([0, 2], [0, 2]))
+        # aux is W Σ.  ∂/∂W Σ_kl g_kl (W Σ Wᵀ)_kl = 2 g W Σ for symmetric g,
+        # summed over the batch as one flat GEMM.
+        g_w += 2.0 * (g_cov.reshape(-1, m).T @ aux.reshape(-1, n))
+    else:
+        # aux is the input variance vector.
+        g_w += 2.0 * w * (g_cov.T @ aux)
+    if not input_grad:
+        return None, None, g_w, g_b
+    g_mean_in = g_mean @ w
+    if mode == FULL:
+        g_cov_in = np.matmul(w.T, (g_cov.reshape(-1, m) @ w).reshape(-1, m, n))
     else:
         g_cov_in = g_cov @ (w * w)
-        g_w += 2.0 * w * (g_cov.T @ in_cov)
     return g_mean_in, g_cov_in, g_w, g_b
 
 
 def _dropout_bwd(ctx, g_mean, g_cov, mode):
     in_mean, p = ctx
     q = 1.0 - p
-    if mode == FULL:
+    if g_cov.ndim == 3:
         g_diag = np.einsum("bii->bi", g_cov)
         g_mean_in = q * g_mean + g_diag * (2.0 * p * q * in_mean)
         g_cov_in = (q * q) * g_cov
@@ -127,15 +142,17 @@ def _gate_rate_derivs(mean, var, sigma, det):
 
 
 def _offdiag_gain_adjoint(g_cov, in_cov, gain):
-    """dL/d(gain_i) from off-diagonal terms cov'_ij = gain_i gain_j cov_ij."""
-    m = (g_cov + np.swapaxes(g_cov, -1, -2)) * in_cov
-    return np.matmul(m, gain[..., None])[..., 0] - np.einsum("bii->bi", m) * gain
+    """dL/d(gain_i) from off-diagonal terms cov'_ij = gain_i gain_j cov_ij;
+    g_cov and in_cov symmetric, so the (i, j) and (j, i) terms are equal."""
+    rows = np.einsum("bij,bij,bj->bi", g_cov, in_cov, gain)
+    return 2.0 * (rows - np.einsum("bii,bii->bi", g_cov, in_cov) * gain)
 
 
 def _mp_gelu_bwd(ctx, g_mean, g_cov, mode):
     mean, var, in_cov, p, q, sigma, det = ctx
     dq_dmu, dq_dvar = _gate_rate_derivs(mean, var, sigma, det)
-    if mode == FULL:
+    full = g_cov.ndim == 3
+    if full:
         g_diag = np.einsum("bii->bi", g_cov)
         g_q = _offdiag_gain_adjoint(g_cov, in_cov, q)
     else:
@@ -145,9 +162,8 @@ def _mp_gelu_bwd(ctx, g_mean, g_cov, mode):
     g_q += g_mean * mean + g_diag * (var + (1.0 - 2.0 * q) * mean * mean)
     g_mean_in = q * g_mean + g_diag * (2.0 * p * q * mean) + g_q * dq_dmu
     g_var_in = q * g_diag + g_q * dq_dvar
-    if mode == FULL:
-        g_cov_in = g_cov * (q[:, :, None] * q[:, None, :])
-        np.einsum("bii->bi", g_cov_in)[...] = g_var_in
+    if full:
+        g_cov_in = moments._scale_offdiag(g_cov, q, g_var_in)
     else:
         g_cov_in = g_var_in
     return g_mean_in, g_cov_in
@@ -161,15 +177,14 @@ def _relu_bwd(ctx, g_mean, g_cov, mode):
     dm_dvar = np.where(det, 0.0, pdf / (2.0 * safe_sigma))
     dv_dmu = 2.0 * out_mean * (1.0 - cdf)
     dv_dvar = np.where(det, 0.0, cdf - out_mean * pdf / safe_sigma)
-    if mode == FULL:
+    if g_cov.ndim == 3:
         g_diag = np.einsum("bii->bi", g_cov)
         g_gain = _offdiag_gain_adjoint(g_cov, in_cov, cdf)
         dgain_dmu = np.where(det, 0.0, pdf / safe_sigma)
         dgain_dvar = np.where(det, 0.0, -pdf * alpha / (2.0 * safe_var))
         g_mean_in = g_mean * cdf + g_diag * dv_dmu + g_gain * dgain_dmu
         g_var_in = g_mean * dm_dvar + g_diag * dv_dvar + g_gain * dgain_dvar
-        g_cov_in = g_cov * (cdf[:, :, None] * cdf[:, None, :])
-        np.einsum("bii->bi", g_cov_in)[...] = g_var_in
+        g_cov_in = moments._scale_offdiag(g_cov, cdf, g_var_in)
     else:
         g_mean_in = g_mean * cdf + g_cov * dv_dmu
         g_cov_in = g_mean * dm_dvar + g_cov * dv_dvar
@@ -177,28 +192,31 @@ def _relu_bwd(ctx, g_mean, g_cov, mode):
 
 
 def _forward_tape(config, params, xs):
-    """Batched forward pass recording per-layer backward contexts."""
+    """Batched forward pass recording per-layer backward contexts.
+
+    Layers below the first dense layer have no parameters and nothing
+    above depends on their adjoints, so they are not recorded."""
     mode = config.covariance_mode
     mean = np.asarray(xs, dtype=float)
-    cov = moments._zero_cov(mean.shape[0], mean.shape[1], mode)
+    cov = np.zeros_like(mean)
     tape = []
     dense_i = 0
     for layer_i, layer in enumerate(config.layers):
+        param_i = None
         if layer.kind == DENSE:
+            param_i = dense_i
             mean, cov, ctx = moments._dense_fwd(
                 mean, cov, params.weights[dense_i], params.biases[dense_i], mode
             )
-            tape.append((layer_i, layer.kind, dense_i, ctx))
             dense_i += 1
         elif layer.kind == DROPOUT:
             mean, cov, ctx = moments._dropout_fwd(mean, cov, layer.rate, mode)
-            tape.append((layer_i, layer.kind, None, ctx))
         elif layer.kind == MP_GELU:
             mean, cov, ctx = moments._mp_gelu_fwd(mean, cov, mode)
-            tape.append((layer_i, layer.kind, None, ctx))
         else:
             mean, cov, ctx = moments._relu_fwd(mean, cov, mode)
-            tape.append((layer_i, layer.kind, None, ctx))
+        if dense_i:
+            tape.append((layer_i, layer.kind, param_i, ctx))
     return mean, cov, tape
 
 
@@ -234,11 +252,15 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
     )
     for layer_i, kind, dense_i, ctx in reversed(tape):
         if kind == DENSE:
-            g_mean, g_cov, g_w, g_b = _dense_bwd(ctx, g_mean, g_cov, mode)
+            g_mean, g_cov, g_w, g_b = _dense_bwd(
+                ctx, g_mean, g_cov, mode, input_grad=dense_i > 0
+            )
             grads.weights[dense_i] = g_w
             grads.biases[dense_i] = g_b
             if not (np.all(np.isfinite(g_w)) and np.all(np.isfinite(g_b))):
                 raise FloatingPointError(f"non-finite gradient in layer {layer_i} (dense)")
+            if dense_i == 0:  # the tape starts here; no input adjoints
+                break
         elif kind == DROPOUT:
             g_mean, g_cov = _dropout_bwd(ctx, g_mean, g_cov, mode)
         elif kind == MP_GELU:

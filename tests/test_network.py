@@ -139,6 +139,29 @@ class TestForward:
         np.testing.assert_array_equal(a.mean, b.mean)
         np.testing.assert_array_equal(a.cov, b.cov)
 
+    @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    def test_full_mode_batch_matches_public_op_chain(self, arch):
+        """The batched pass enters the first dense layer with per-unit
+        variances, the public ops with a full zero matrix: both agree."""
+        config = net.build_model(arch, 5, 7, 0.1, m.FULL, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 4)
+        xs = np.random.default_rng(2).standard_normal((6, 5))
+        means, covs = net.forward_batch(config, params, xs)
+        for x, mean, cov in zip(xs, means, covs):
+            mv = m.lift_deterministic(x, m.FULL)
+            weights = iter(zip(params.weights, params.biases))
+            for layer in config.layers:
+                if layer.kind == net.DENSE:
+                    mv = m.dense_propagate(mv, *next(weights))
+                elif layer.kind == net.DROPOUT:
+                    mv = m.dropout_propagate(mv, layer.rate)
+                elif layer.kind == net.MP_GELU:
+                    mv = m.mp_gelu_propagate(mv)
+                else:
+                    mv = m.relu_propagate(mv)
+            np.testing.assert_allclose(mean, mv.mean, rtol=1e-10, atol=1e-12)
+            np.testing.assert_allclose(cov, mv.cov, rtol=1e-10, atol=1e-12)
+
     def test_wrong_input_dim_rejected(self):
         config = net.build_mp_gelu_model(5, 4)
         params = net.init_parameters(config, 0)

@@ -52,7 +52,10 @@ class TestLossAndGradients:
     @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     def test_gradients_match_finite_differences(self, arch, mode):
-        """Exact adjoints vs central differences on a small two-head sweep."""
+        """Exact adjoints vs central differences on a small two-head sweep.
+
+        Each architecture also runs without its leading dropout, so its
+        first dense layer sees an exactly zero input covariance."""
         rng = np.random.default_rng(13)
         for head in (net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC):
             config = net.build_model(arch, 4, 5, 0.2, mode, head)
@@ -60,6 +63,9 @@ class TestLossAndGradients:
             x = rng.standard_normal((3, 4))
             y = rng.standard_normal(3)
             assert_grads_match_fd(config, params, x, y)
+            dense_first = net.ModelConfig(config.layers[1:], mode, head, hidden_width=5)
+            assert dense_first.layers[0].kind == net.DENSE
+            assert_grads_match_fd(dense_first, net.init_parameters(dense_first, 1), x, y)
 
     def test_duplicated_batch_leaves_mean_gradient_unchanged(self):
         config = net.build_relu_model(3, 5, 0.1, m.DIAG, net.HEAD_HETEROSCEDASTIC)
