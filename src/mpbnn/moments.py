@@ -17,11 +17,23 @@ The public operations work on single examples wrapped in `MomentVector`.
 Internally every formula is implemented once, in batched kernels operating
 on arrays with a leading batch axis; training and the experiment runner
 call the kernels directly for speed.
+
+Buffer rule: the full-mode (B, n, n) and (B, m, n) kernel outputs come from
+`_empty`.  Outside a training step that is plain `np.empty`, so
+`forward_batch`, the public operations and the MC oracle never return pooled
+memory.  Inside a step (`_open_step` ... `_close_step`, opened only by
+`training.loss_and_gradients`) `_empty` lends a buffer from a per-thread
+pool that outlives the step, so a warm step allocates and page-faults
+nothing; every lent buffer returns to the pool when the step closes, and
+`_release` returns one earlier once nothing reads it any more.  The pool
+holds, for the life of its thread, about the memory of the largest step
+that thread ran.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,18 +101,24 @@ def _counted_sqrt(x: np.ndarray) -> np.ndarray:
 
 
 def _clamp_variances(var: np.ndarray, where: str) -> np.ndarray:
-    """Zero out tiny negative variances; raise on anything worse."""
-    if np.any(var < VAR_CLAMP):
-        worst = float(np.min(var))
-        raise MomentError(f"negative variance {worst:.3e} in {where}")
-    if np.any(var < 0.0):
-        var = np.where(var < 0.0, 0.0, var)
-    return var
+    """Zero out tiny negative variances; raise on anything worse.
+
+    One `min` decides the common case.  NaN entries stay NaN and -0.0 is not
+    negative; the minimum is NaN when any entry is, so then the raise looks
+    at every entry."""
+    worst = var.min() if var.size else 0.0
+    if worst >= 0.0:
+        return var
+    if worst < VAR_CLAMP or (worst != worst and np.any(var < VAR_CLAMP)):
+        raise MomentError(f"negative variance {float(worst):.3e} in {where}")
+    return np.where(var < 0.0, 0.0, var)
 
 
 def _clamp_diag_inplace(cov: np.ndarray, where: str) -> np.ndarray:
     d = np.einsum("...ii->...i", cov)
-    d[...] = _clamp_variances(d, where)
+    clamped = _clamp_variances(d, where)
+    if clamped is not d:
+        d[...] = clamped
     return cov
 
 
@@ -124,7 +142,7 @@ class MomentVector:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size == 0:
             raise MomentError("mean must be a non-empty 1-d vector")
-        if not np.all(np.isfinite(mean)) or not np.all(np.isfinite(cov)):
+        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
             raise MomentError("non-finite entries in moments")
         n = mean.size
         if self.mode == FULL:
@@ -174,6 +192,53 @@ class GateRates:
         object.__setattr__(self, "rates", rates)
 
 
+class _StepPool(threading.local):
+    """The calling thread's full-mode step buffers, kept across steps."""
+
+    def __init__(self):
+        self.spare = {}  # trailing shape -> buffers free to lend
+        self.lent = None  # id -> buffer lent in the open step; None outside
+
+
+_pool = _StepPool()
+
+
+def _open_step() -> None:
+    _pool.lent = {}
+
+
+def _close_step() -> None:
+    """Return every buffer lent in the step to the pool."""
+    for buf in _pool.lent.values():
+        _pool.spare.setdefault(buf.shape[1:], []).append(buf)
+    _pool.lent = None
+
+
+def _empty(shape) -> np.ndarray:
+    """`np.empty(shape)`, or inside a step a `[:B]` view of a pooled buffer
+    with the same trailing shape and at least B rows."""
+    lent = _pool.lent
+    if lent is None:
+        return np.empty(shape)
+    rows = shape[0]
+    free = _pool.spare.get(shape[1:])
+    buf = free.pop() if free else None
+    if buf is None or buf.shape[0] < rows:
+        buf = np.empty(shape)  # a too-small spare is dropped, not kept
+    lent[id(buf)] = buf
+    return buf[:rows]
+
+
+def _release(arr: np.ndarray) -> None:
+    """Return the buffer behind `arr` before the step closes; nothing reads
+    `arr` afterwards.  A no-op for memory the step did not lend."""
+    lent = _pool.lent
+    if lent is not None:
+        buf = lent.pop(id(arr.base), None)
+        if buf is not None:
+            _pool.spare.setdefault(buf.shape[1:], []).append(buf)
+
+
 # ---------------------------------------------------------------------------
 # Batched kernels.  mean: (B, n); cov: (B, n, n) in full mode, (B, n) in diag
 # mode and in full mode below the first dense layer.
@@ -187,8 +252,14 @@ def _dense_fwd(mean, cov, w, b, mode):
         # W Σ Wᵀ as (W Σ) Wᵀ, the second product one flat GEMM; W Σ is kept
         # for the backward pass.  A diagonal Σ = diag(v) gives W Σ = W ∘ v.
         m, n = w.shape
-        wsig = w * cov[:, None, :] if cov.ndim == 2 else np.matmul(w, cov)
-        out_cov = (wsig.reshape(-1, n) @ w.T).reshape(-1, m, m)
+        batch = mean.shape[0]
+        wsig = _empty((batch, m, n))
+        if cov.ndim == 2:
+            np.multiply(w, cov[:, None, :], out=wsig)
+        else:
+            np.matmul(w, cov, out=wsig)
+        out_cov = _empty((batch, m, m))
+        np.matmul(wsig.reshape(-1, n), w.T, out=out_cov.reshape(-1, m))
         _clamp_diag_inplace(out_cov, "dense_propagate")
         return out_mean, out_cov, (mean, w, wsig)
     out_cov = cov @ (w * w).T
@@ -196,11 +267,11 @@ def _dense_fwd(mean, cov, w, b, mode):
     return out_mean, out_cov, (mean, w, cov)
 
 
-def _scale_offdiag(cov, gain, diag):
-    """gain_i gain_j cov_ij off the diagonal and `diag` on it, as one new
-    (B, n, n) array; used by the gates and their adjoints."""
-    out = gain[:, :, None] * gain[:, None, :]
-    out *= cov
+def _scale_offdiag(cov, gain, diag, out):
+    """Writes gain_i gain_j cov_ij off the diagonal and `diag` on it into
+    `out`, which may be `cov`; used by the gates and their adjoints."""
+    np.multiply(cov, gain[:, :, None], out=out)
+    out *= gain[:, None, :]
     np.einsum("bii->bi", out)[...] = diag
     return out
 
@@ -211,7 +282,7 @@ def _dropout_fwd(mean, cov, rate, mode):
     out_mean = q * mean
     if cov.ndim == 3:
         var = np.einsum("bii->bi", cov)
-        out_cov = (q * q) * cov
+        out_cov = np.multiply(cov, q * q, out=_empty(cov.shape))
         np.einsum("bii->bi", out_cov)[...] = q * var + p * q * mean * mean
     else:
         out_cov = q * cov + p * q * mean * mean
@@ -227,7 +298,7 @@ def _gate_rates(mean, var, where):
     det = sigma < SIGMA_FLOOR
     safe_sigma = np.where(det, 1.0, sigma)
     p = _norm_cdf(-mean / safe_sigma)
-    if np.any(det):
+    if det.any():
         limit = np.where(mean > 0.0, 0.0, np.where(mean < 0.0, 1.0, 0.5))
         p = np.where(det, limit, p)
     return p, sigma, det
@@ -240,7 +311,7 @@ def _mp_gelu_fwd(mean, cov, mode):
     out_mean = q * mean
     out_var = q * var + p * q * mean * mean
     if cov.ndim == 3:
-        out_cov = _scale_offdiag(cov, q, out_var)
+        out_cov = _scale_offdiag(cov, q, out_var, _empty(cov.shape))
     else:
         out_cov = out_var
     return out_mean, out_cov, (mean, var, cov, p, q, sigma, det)
@@ -255,18 +326,20 @@ def _relu_fwd(mean, cov, mode):
     alpha = mean / safe_sigma
     cdf = _norm_cdf(alpha)
     pdf = _norm_pdf(alpha)
-    if np.any(det):
+    if det.any():
         step = np.where(mean > 0.0, 1.0, np.where(mean < 0.0, 0.0, 0.5))
         cdf = np.where(det, step, cdf)
         pdf = np.where(det, 0.0, pdf)
     out_mean = mean * cdf + sigma * pdf
     second = (mean * mean + var) * cdf + mean * sigma * pdf
     out_var = _clamp_variances(second - out_mean * out_mean, "relu_propagate")
-    out_var = np.where(det, 0.0, out_var)
-    if np.any(det):
+    if det.any():
+        # The linearization the off-diagonals use: a zero variance next to
+        # gain·gain·Σ_ij off the diagonal would not be PSD.
         out_mean = np.where(det, np.maximum(mean, 0.0), out_mean)
+        out_var = np.where(det, cdf * cdf * var, out_var)
     if cov.ndim == 3:
-        out_cov = _scale_offdiag(cov, cdf, out_var)
+        out_cov = _scale_offdiag(cov, cdf, out_var, _empty(cov.shape))
     else:
         out_cov = out_var
     return out_mean, out_cov, (mean, var, cov, sigma, det, cdf, pdf, out_mean)
@@ -350,8 +423,9 @@ def relu_propagate(mv: MomentVector) -> MomentVector:
     """Rectifier moments, exact per unit, first-order across units.
 
     With α_i = μ_i/σ_i: mean'_i = μ_i Φ(α_i) + σ_i φ(α_i) and
-    E[r_i²] = (μ_i² + var_i) Φ(α_i) + μ_i σ_i φ(α_i); var' follows.  σ_i = 0
-    degenerates to max(0, μ_i) with zero variance.  Full-mode off-diagonals
+    E[r_i²] = (μ_i² + var_i) Φ(α_i) + μ_i σ_i φ(α_i); var' follows.  σ_i below
+    1e-12 degenerates to max(0, μ_i) with the first-order variance
+    step(μ_i)² var_i, zero at σ_i = 0.  Full-mode off-diagonals
     use the first-order gain product Cov'_ij = Φ(α_i) Φ(α_j) Cov_ij, which
     is exact to first order in Cov_ij.
     """

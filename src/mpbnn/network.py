@@ -226,7 +226,7 @@ def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != config.input_dim:
         raise MomentError(f"input batch must be (B, {config.input_dim}), got {xs.shape}")
-    if not np.all(np.isfinite(xs)):
+    if not np.isfinite(xs).all():
         raise MomentError("non-finite entries in input batch")
     mode = config.covariance_mode
     mean = xs.copy()

@@ -70,7 +70,7 @@ def _ell2_fwd(mean, cov, y, mode):
     inv_scale = np.exp(0.5 * s22 - m2)
     quad = s11 + resid * resid
     ell = -0.5 * (LOG_2PI + m2 + quad * inv_scale)
-    if not np.all(np.isfinite(ell)):
+    if not np.isfinite(ell).all():
         raise FloatingPointError("non-finite expected log-likelihood")
     return ell, (resid, inv_scale, quad, mode, mean.shape)
 
@@ -101,7 +101,7 @@ def _ell1_fwd(mean, cov, y, mode):
     var = s11 + VARIANCE_FLOOR
     resid = y - m1
     ell = -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
-    if not np.all(np.isfinite(ell)):
+    if not np.isfinite(ell).all():
         raise FloatingPointError("non-finite expected log-likelihood (1-output)")
     return ell, (resid, var, mode, mean.shape)
 

@@ -87,7 +87,9 @@ class GradientSet:
 # full covariance is a symmetric matrix, and its adjoint is taken as one too:
 # a symmetric g_cov with dL = Σ_ij g_ij dΣ_ij for every symmetric dΣ, so a
 # term that reads Σ_ij (i ≠ j) splits its derivative evenly over g_ij and
-# g_ji.  Every kernel maps a symmetric g_cov to a symmetric one.
+# g_ji.  Every kernel maps a symmetric g_cov to a symmetric one.  Nothing
+# else holds a g_cov once it is passed down, so the gate and dropout adjoints
+# may overwrite it with their full-mode result.
 # ---------------------------------------------------------------------------
 
 
@@ -110,7 +112,10 @@ def _dense_bwd(ctx, g_mean, g_cov, mode, input_grad=True):
         return None, None, g_w, g_b
     g_mean_in = g_mean @ w
     if mode == FULL:
-        g_cov_in = np.matmul(w.T, (g_cov.reshape(-1, m) @ w).reshape(-1, m, n))
+        batch = g_mean.shape[0]
+        gw = moments._empty((batch, m, n))
+        np.matmul(g_cov.reshape(-1, m), w, out=gw.reshape(-1, n))
+        g_cov_in = np.matmul(w.T, gw, out=moments._empty((batch, n, n)))
     else:
         g_cov_in = g_cov @ (w * w)
     return g_mean_in, g_cov_in, g_w, g_b
@@ -122,8 +127,9 @@ def _dropout_bwd(ctx, g_mean, g_cov, mode):
     if g_cov.ndim == 3:
         g_diag = np.einsum("bii->bi", g_cov)
         g_mean_in = q * g_mean + g_diag * (2.0 * p * q * in_mean)
-        g_cov_in = (q * q) * g_cov
-        np.einsum("bii->bi", g_cov_in)[...] = q * g_diag
+        g_var_in = q * g_diag  # a copy: g_diag is a view of g_cov
+        g_cov_in = np.multiply(g_cov, q * q, out=g_cov)
+        np.einsum("bii->bi", g_cov_in)[...] = g_var_in
     else:
         g_mean_in = q * g_mean + g_cov * (2.0 * p * q * in_mean)
         g_cov_in = q * g_cov
@@ -163,7 +169,7 @@ def _mp_gelu_bwd(ctx, g_mean, g_cov, mode):
     g_mean_in = q * g_mean + g_diag * (2.0 * p * q * mean) + g_q * dq_dmu
     g_var_in = q * g_diag + g_q * dq_dvar
     if full:
-        g_cov_in = moments._scale_offdiag(g_cov, q, g_var_in)
+        g_cov_in = moments._scale_offdiag(g_cov, q, g_var_in, g_cov)
     else:
         g_cov_in = g_var_in
     return g_mean_in, g_cov_in
@@ -176,7 +182,7 @@ def _relu_bwd(ctx, g_mean, g_cov, mode):
     alpha = mean / safe_sigma
     dm_dvar = np.where(det, 0.0, pdf / (2.0 * safe_sigma))
     dv_dmu = 2.0 * out_mean * (1.0 - cdf)
-    dv_dvar = np.where(det, 0.0, cdf - out_mean * pdf / safe_sigma)
+    dv_dvar = np.where(det, cdf * cdf, cdf - out_mean * pdf / safe_sigma)
     if g_cov.ndim == 3:
         g_diag = np.einsum("bii->bi", g_cov)
         g_gain = _offdiag_gain_adjoint(g_cov, in_cov, cdf)
@@ -184,7 +190,7 @@ def _relu_bwd(ctx, g_mean, g_cov, mode):
         dgain_dvar = np.where(det, 0.0, -pdf * alpha / (2.0 * safe_var))
         g_mean_in = g_mean * cdf + g_diag * dv_dmu + g_gain * dgain_dmu
         g_var_in = g_mean * dm_dvar + g_diag * dv_dvar + g_gain * dgain_dvar
-        g_cov_in = moments._scale_offdiag(g_cov, cdf, g_var_in)
+        g_cov_in = moments._scale_offdiag(g_cov, cdf, g_var_in, g_cov)
     else:
         g_mean_in = g_mean * cdf + g_cov * dv_dmu
         g_cov_in = g_mean * dm_dvar + g_cov * dv_dvar
@@ -195,7 +201,12 @@ def _forward_tape(config, params, xs):
     """Batched forward pass recording per-layer backward contexts.
 
     Layers below the first dense layer have no parameters and nothing
-    above depends on their adjoints, so they are not recorded."""
+    above depends on their adjoints, so they are not recorded.
+
+    In full mode the dense and dropout contexts keep nothing of their input
+    covariance, so that input goes back to the step's buffer pool as soon as
+    the layer has run; the gates' contexts keep theirs.  (Diag-mode arrays
+    are not pooled, so releasing the dense input there is a no-op.)"""
     mode = config.covariance_mode
     mean = np.asarray(xs, dtype=float)
     cov = np.zeros_like(mean)
@@ -203,6 +214,7 @@ def _forward_tape(config, params, xs):
     dense_i = 0
     for layer_i, layer in enumerate(config.layers):
         param_i = None
+        cov_in = cov
         if layer.kind == DENSE:
             param_i = dense_i
             mean, cov, ctx = moments._dense_fwd(
@@ -215,6 +227,8 @@ def _forward_tape(config, params, xs):
             mean, cov, ctx = moments._mp_gelu_fwd(mean, cov, mode)
         else:
             mean, cov, ctx = moments._relu_fwd(mean, cov, mode)
+        if layer.kind in (DENSE, DROPOUT):
+            moments._release(cov_in)
         if dense_i:
             tape.append((layer_i, layer.kind, param_i, ctx))
     return mean, cov, tape
@@ -235,40 +249,46 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
     mode = config.covariance_mode
     batch = xs.shape[0]
 
-    mean, cov, tape = _forward_tape(config, params, xs)
-    if config.head == HEAD_HETEROSCEDASTIC:
-        ell, octx = objective._ell2_fwd(mean, cov, ys, mode)
-        g_mean, g_cov = objective._ell2_bwd(octx, np.full(batch, -1.0 / batch))
-    else:
-        ell, octx = objective._ell1_fwd(mean, cov, ys, mode)
-        g_mean, g_cov = objective._ell1_bwd(octx, np.full(batch, -1.0 / batch))
-    loss = -float(np.mean(ell))
-    if not math.isfinite(loss):
-        raise FloatingPointError("non-finite training loss")
-
-    grads = GradientSet(
-        [np.zeros_like(w) for w in params.weights],
-        [np.zeros_like(b) for b in params.biases],
-    )
-    for layer_i, kind, dense_i, ctx in reversed(tape):
-        if kind == DENSE:
-            g_mean, g_cov, g_w, g_b = _dense_bwd(
-                ctx, g_mean, g_cov, mode, input_grad=dense_i > 0
-            )
-            grads.weights[dense_i] = g_w
-            grads.biases[dense_i] = g_b
-            if not (np.all(np.isfinite(g_w)) and np.all(np.isfinite(g_b))):
-                raise FloatingPointError(f"non-finite gradient in layer {layer_i} (dense)")
-            if dense_i == 0:  # the tape starts here; no input adjoints
-                break
-        elif kind == DROPOUT:
-            g_mean, g_cov = _dropout_bwd(ctx, g_mean, g_cov, mode)
-        elif kind == MP_GELU:
-            g_mean, g_cov = _mp_gelu_bwd(ctx, g_mean, g_cov, mode)
+    # Full-mode (B, n, n) arrays come from the thread's buffer pool while the
+    # step is open; nothing returned below refers to them.
+    moments._open_step()
+    try:
+        mean, cov, tape = _forward_tape(config, params, xs)
+        if config.head == HEAD_HETEROSCEDASTIC:
+            ell, octx = objective._ell2_fwd(mean, cov, ys, mode)
+            g_mean, g_cov = objective._ell2_bwd(octx, np.full(batch, -1.0 / batch))
         else:
-            g_mean, g_cov = _relu_bwd(ctx, g_mean, g_cov, mode)
-        if not np.all(np.isfinite(g_mean)):
-            raise FloatingPointError(f"non-finite gradient in layer {layer_i} ({kind})")
+            ell, octx = objective._ell1_fwd(mean, cov, ys, mode)
+            g_mean, g_cov = objective._ell1_bwd(octx, np.full(batch, -1.0 / batch))
+        loss = -float(np.mean(ell))
+        if not math.isfinite(loss):
+            raise FloatingPointError("non-finite training loss")
+
+        grads = GradientSet(
+            [np.zeros_like(w) for w in params.weights],
+            [np.zeros_like(b) for b in params.biases],
+        )
+        for layer_i, kind, dense_i, ctx in reversed(tape):
+            if kind == DENSE:
+                g_mean, g_cov, g_w, g_b = _dense_bwd(
+                    ctx, g_mean, g_cov, mode, input_grad=dense_i > 0
+                )
+                grads.weights[dense_i] = g_w
+                grads.biases[dense_i] = g_b
+                if not (np.isfinite(g_w).all() and np.isfinite(g_b).all()):
+                    raise FloatingPointError(f"non-finite gradient in layer {layer_i} (dense)")
+                if dense_i == 0:  # the tape starts here; no input adjoints
+                    break
+            elif kind == DROPOUT:
+                g_mean, g_cov = _dropout_bwd(ctx, g_mean, g_cov, mode)
+            elif kind == MP_GELU:
+                g_mean, g_cov = _mp_gelu_bwd(ctx, g_mean, g_cov, mode)
+            else:
+                g_mean, g_cov = _relu_bwd(ctx, g_mean, g_cov, mode)
+            if not np.isfinite(g_mean).all():
+                raise FloatingPointError(f"non-finite gradient in layer {layer_i} ({kind})")
+    finally:
+        moments._close_step()
 
     for gw, gb, pw, pb in zip(grads.weights, grads.biases, params.grad_weights, params.grad_biases):
         pw[...] = gw

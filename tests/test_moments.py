@@ -43,6 +43,19 @@ class TestMomentVector:
         assert mv.cov[0] == 0.0
         with pytest.raises(m.MomentError):
             diag_mv([0.0], [-1e-6])
+        for make in (diag_mv, lambda mean, var: full_mv(mean, np.diag(var))):
+            mixed = make(np.zeros(4), [2.0, -5e-11, 0.0, 3e-11])
+            np.testing.assert_array_equal(mixed.variances, [2.0, 0.0, 0.0, 3e-11])
+            assert make([0.0], [m.VAR_CLAMP]).variances[0] == 0.0
+            with pytest.raises(m.MomentError, match=r"-3\.000e-04"):
+                make(np.zeros(3), [-1e-6, 1.0, -3e-4])
+        # NaN entries pass through untouched, -0.0 is not negative.
+        np.testing.assert_array_equal(
+            m._clamp_variances(np.array([np.nan, -5e-11, 1.0]), "t"), [np.nan, 0.0, 1.0]
+        )
+        with pytest.raises(m.MomentError):
+            m._clamp_variances(np.array([np.nan, -1e-6]), "t")
+        assert math.copysign(1.0, m._clamp_variances(np.array([-0.0]), "t")[0]) == -1.0
 
     def test_non_finite_rejected(self):
         with pytest.raises(m.MomentError):
@@ -200,6 +213,12 @@ class TestReluPropagate:
         np.testing.assert_array_equal(out.mean, [3.0, 0.0])
         np.testing.assert_array_equal(out.cov, [0.0, 0.0])
 
+    def test_below_sigma_floor_keeps_first_order_variance(self):
+        """step(μ)² var, the gain the full-mode off-diagonals use."""
+        out = m.relu_propagate(diag_mv([3.0, -3.0, 0.0], [1e-26, 1e-26, 1e-26]))
+        np.testing.assert_array_equal(out.mean, [3.0, 0.0, 0.0])
+        np.testing.assert_array_equal(out.cov, [1e-26, 0.0, 0.25e-26])
+
     def test_matches_mc_oracle(self):
         mv = diag_mv([0.0], [1.0])
         est = mc_layer_moments(LayerSpec(RELU), mv, 10**6, seed=10)
@@ -249,6 +268,30 @@ class TestPsdPreservation:
         evals = np.linalg.eigvalsh(np.asarray(out.cov))
         assert evals.min() >= -1e-8 * max(evals.max(), 1e-30)
         assert np.all(out.variances >= 0.0)
+
+    @given(
+        st.integers(0, 10_000),
+        st.lists(st.floats(-12.5, 1.0), min_size=4, max_size=4),
+        st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_full_mode_gates_and_dropout_stay_symmetric_psd(self, seed, log_sigma, ratio):
+        """σ from just below the floor to 10, |μ/σ| up to 60, correlated units."""
+        rng = np.random.default_rng(seed)
+        sigma = 10.0 ** np.array(log_sigma)
+        a = rng.standard_normal((4, 4))
+        corr = a @ a.T + 0.05 * np.eye(4)
+        d = np.sqrt(np.diag(corr))
+        cov = sigma[:, None] * (corr / d[:, None] / d[None, :]) * sigma[None, :]
+        mv = full_mv(np.array(ratio) * sigma, 0.5 * (cov + cov.T))
+        for op in (m.mp_gelu_propagate, m.relu_propagate,
+                   lambda v: m.dropout_propagate(v, 0.3)):
+            out = np.asarray(op(mv).cov)
+            scale = max(1.0, np.max(np.abs(out)))
+            assert np.max(np.abs(out - out.T)) <= m.SYM_RTOL * scale
+            evals = np.linalg.eigvalsh(out)
+            assert evals.min() >= -1e-8 * max(evals.max(), 1e-30)
+            assert np.all(np.diag(out) >= 0.0)
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)

@@ -1,5 +1,7 @@
 """Gradient machinery and the SGD loop."""
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -128,6 +130,80 @@ class TestLossAndGradients:
         )
         for acc, g in zip(params.grad_weights, grads.weights):
             np.testing.assert_array_equal(acc, g)
+
+
+class TestStepBufferPool:
+    """Full-mode steps lend their (B, n, n) arrays from a per-thread pool."""
+
+    @staticmethod
+    def _unpooled(config, params, xs, ys):
+        """Reference call with no buffer reuse: a new thread starts with an
+        empty pool, and `_release` is patched out by the caller."""
+        out = []
+        worker = threading.Thread(
+            target=lambda: out.append(tr.loss_and_gradients(config, params, xs, ys))
+        )
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and out
+        return out[0]
+
+    def test_reused_buffers_give_identical_results(self, monkeypatch):
+        rng = np.random.default_rng(21)
+        x = rng.standard_normal((9, 3))
+        y = rng.standard_normal(9)
+        batches = {"full": (x, y), "short": (x[:4], y[:4])}
+        models = {}
+        for arch in (net.ARCH_MP_GELU, net.ARCH_RELU):
+            config = net.build_model(arch, 3, 5, 0.2, m.FULL, net.HEAD_HETEROSCEDASTIC)
+            models[arch] = (config, net.init_parameters(config, 3))
+        with monkeypatch.context() as patch:
+            patch.setattr(m, "_release", lambda arr: None)
+            ref = {(a, b): self._unpooled(*models[a], *batches[b])
+                   for a in models for b in batches}
+
+        def check(arch, batch):
+            loss, grads = tr.loss_and_gradients(*models[arch], *batches[batch])
+            ref_loss, ref_grads = ref[arch, batch]
+            assert loss == ref_loss, (arch, batch)
+            for got, want in zip(grads.weights + grads.biases,
+                                 ref_grads.weights + ref_grads.biases):
+                np.testing.assert_array_equal(got, want)
+
+        order = [(net.ARCH_MP_GELU, "full"), (net.ARCH_RELU, "full"),
+                 (net.ARCH_MP_GELU, "short"), (net.ARCH_RELU, "short"),
+                 (net.ARCH_RELU, "full"), (net.ARCH_MP_GELU, "full")]
+        for arch, batch in order:
+            check(arch, batch)
+
+        def poisoned(ctx, g_mean, g_cov, mode):
+            raise FloatingPointError("poisoned kernel")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(tr, "_relu_bwd", poisoned)
+            with pytest.raises(FloatingPointError, match="poisoned"):
+                tr.loss_and_gradients(*models[net.ARCH_RELU], x, y)
+        assert m._pool.lent is None  # the raise closed the step
+
+        # Outside a step nothing is pooled, so a later step cannot touch
+        # what forward_batch returned.
+        fb_mean, fb_cov = net.forward_batch(*models[net.ARCH_MP_GELU], x)
+        kept = fb_cov.copy()
+        lent = []
+        orig_empty = m._empty
+
+        def recording(shape):
+            arr = orig_empty(shape)
+            lent.append(arr)
+            return arr
+
+        with monkeypatch.context() as patch:
+            patch.setattr(m, "_empty", recording)
+            for arch, batch in reversed(order):
+                check(arch, batch)
+        assert lent
+        assert not any(np.shares_memory(fb, arr) for fb in (fb_mean, fb_cov) for arr in lent)
+        np.testing.assert_array_equal(fb_cov, kept)
 
 
 class TestSgdStep:
