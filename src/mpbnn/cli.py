@@ -369,59 +369,64 @@ def _random_case(n, mode, rng, corr=0.45):
     return moments.MomentVector(mean, sigma * sigma, DIAG)
 
 
+LAYER_KINDS = (network.DENSE, network.DROPOUT, network.MP_GELU, network.RELU)
+
+
+def layer_oracle(kind: str, mode: str, cases: int, samples: int, rng, mc_seed):
+    """One layer kind's closed form against the MC oracle on `cases` random
+    4-unit inputs from `rng` (a dense layer's 3×4 weights and bias are drawn
+    after each), case c sampled with seed `mc_seed(c)`.  Every mean, variance
+    and full-mode covariance must lie within 4 se; a full-mode rectifier
+    off-diagonal may instead lie within 0.15 σ_i σ_j (its first-order
+    approximation) and is left out of the worst deviation.  Returns (worst
+    deviation in se, failures as (case, entry, deviation))."""
+    n = 4
+    layer = LayerSpec(kind, in_dim=n, out_dim=3, rate=0.13)
+    worst = 0.0
+    failures = []
+    for case in range(cases):
+        mv = _random_case(n, mode, rng)
+        wb = None
+        if kind == network.DENSE:
+            wb = (rng.standard_normal((3, n)), rng.standard_normal(3))
+        out_mean, out_cov, _ = network._FWD[kind](layer, mv.mean[None], mv.cov[None], wb, mode)
+        out = moments.MomentVector(out_mean[0], out_cov[0], mode)
+        kw = {} if wb is None else {"weights": wb[0], "bias": wb[1]}
+        est = mc_oracle.mc_layer_moments(layer, mv, samples, mc_seed(case), **kw)
+        devs = [("mean", np.abs(out.mean - est.mean)
+                 / np.maximum(est.standard_error_mean, 1e-12))]
+        if mode == FULL:
+            ac = np.asarray(out.cov)
+            dev_c = np.abs(ac - est.cov) / np.maximum(est.standard_error_cov, 1e-12)
+            eye = np.eye(out.dim, dtype=bool)
+            if kind == network.RELU:
+                sd = np.sqrt(out.variances)
+                within_scale = np.abs(ac - est.cov) <= 0.15 * np.outer(sd, sd)
+                bad = ~((dev_c <= 4.0) | within_scale) & ~eye
+                if bad.any():
+                    failures.append((case, "offdiag", float(dev_c[bad].max())))
+                devs.append(("var", dev_c[eye]))
+            else:
+                devs.append(("cov", dev_c))
+        else:
+            devs.append(("var", np.abs(out.variances - np.diag(est.cov))
+                         / np.maximum(np.diagonal(est.standard_error_cov), 1e-12)))
+        for entry, dev in devs:
+            worst = max(worst, float(dev.max()))
+            if dev.max() > 4.0:
+                failures.append((case, entry, float(dev.max())))
+    return worst, failures
+
+
 def _check_layer_oracle(samples: int, cases: int, seed: int):
     """Compare every layer op against the MC oracle; yields (name, ok, detail)."""
-    kinds = (network.DENSE, network.DROPOUT, network.MP_GELU, network.RELU)
     for mode in (FULL, DIAG):
-        for kind in kinds:
-            rng = np.random.default_rng(
-                np.random.SeedSequence((seed, int(mode == FULL), kinds.index(kind)))
+        for k, kind in enumerate(LAYER_KINDS):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, int(mode == FULL), k)))
+            worst, failures = layer_oracle(
+                kind, mode, cases, samples, rng, lambda case: data.derived_seed(seed, case)
             )
-            worst = 0.0
-            ok = True
-            for case in range(cases):
-                n = 4
-                mv = _random_case(n, mode, rng)
-                if kind == network.DENSE:
-                    w = rng.standard_normal((3, n))
-                    b = rng.standard_normal(3)
-                    layer = LayerSpec(kind, in_dim=n, out_dim=3)
-                    out = moments.dense_propagate(mv, w, b)
-                    est = mc_oracle.mc_layer_moments(
-                        layer, mv, samples, data.derived_seed(seed, case), weights=w, bias=b
-                    )
-                else:
-                    layer = LayerSpec(kind, rate=0.13) if kind == network.DROPOUT else LayerSpec(kind)
-                    if kind == network.DROPOUT:
-                        out = moments.dropout_propagate(mv, 0.13)
-                    elif kind == network.MP_GELU:
-                        out = moments.mp_gelu_propagate(mv)
-                    else:
-                        out = moments.relu_propagate(mv)
-                    est = mc_oracle.mc_layer_moments(
-                        layer, mv, samples, data.derived_seed(seed, case)
-                    )
-                dev = np.abs(out.mean - est.mean) / np.maximum(est.standard_error_mean, 1e-12)
-                worst = max(worst, float(dev.max()))
-                if mode == FULL:
-                    ac = np.asarray(out.cov)
-                    dev_c = np.abs(ac - est.cov) / np.maximum(est.standard_error_cov, 1e-12)
-                    eye = np.eye(out.dim, dtype=bool)
-                    if kind == network.RELU:
-                        sd = np.sqrt(out.variances)
-                        scale_ok = np.abs(ac - est.cov) <= 0.15 * np.outer(sd, sd)
-                        if not np.all((dev_c <= 4.0) | scale_ok | eye):
-                            ok = False
-                        worst = max(worst, float(dev_c[eye].max()))
-                    else:
-                        worst = max(worst, float(dev_c.max()))
-                else:
-                    dev_v = np.abs(out.variances - np.diag(est.cov)) / np.maximum(
-                        np.diagonal(est.standard_error_cov), 1e-12
-                    )
-                    worst = max(worst, float(dev_v.max()))
-            ok = ok and worst <= 4.0
-            yield f"moment_oracle {kind} {mode}", ok, f"worst dev {worst:.3f} se"
+            yield f"moment_oracle {kind} {mode}", not failures, f"worst dev {worst:.3f} se"
 
 
 def _check_objective_oracle(samples: int, cases: int, seed: int):
@@ -439,46 +444,68 @@ def _check_objective_oracle(samples: int, cases: int, seed: int):
     yield "objective_oracle eq_ll", worst <= 4.0, f"worst dev {worst:.3f} se"
 
 
-def _check_gradients(seed: int):
-    # Dropout 0.2 keeps head variances well away from the floor, where the
-    # objective's curvature would put the FD oracle inside its own noise.
+def fd_check(config, params, x, y):
+    """Analytic gradients of one batch against central differences (step
+    1e-5).  A coordinate violates when its relative error is 1e-4 or more
+    or, where |gradient| < 1e-3, its absolute error is 1e-7 or more.
+    Returns (coordinates, worst relative error, violations as
+    (array, layer, index, analytic, fd))."""
+    _, grads = training.loss_and_gradients(config, params, x, y)
+    h = 1e-5
+    coordinates, worst, violations = 0, 0.0, []
+    for name in ("weights", "biases"):
+        for li, w in enumerate(getattr(params, name)):
+            for idx in np.ndindex(w.shape):
+                orig = w[idx]
+                w[idx] = orig + h
+                lp, _ = training.loss_and_gradients(config, params, x, y)
+                w[idx] = orig - h
+                lm, _ = training.loss_and_gradients(config, params, x, y)
+                w[idx] = orig
+                fd = (lp - lm) / (2.0 * h)
+                an = getattr(grads, name)[li][idx]
+                coordinates += 1
+                if abs(an) < 1e-3:
+                    ok = abs(an - fd) < 1e-7
+                else:
+                    rel = abs(an - fd) / abs(an)
+                    worst = max(worst, rel)
+                    ok = rel < 1e-4
+                if not ok:
+                    violations.append((name, li, idx, an, fd))
+    return coordinates, worst, violations
+
+
+def gradient_fd(seed: int, input_dim: int, width: int, dropout: float, batch: int):
+    """`fd_check` on every architecture × mode × head, each model of the given
+    shape initialized from `seed` and given one batch from an rng seeded with
+    `seed`.  Yields (arch, mode, head, coordinates, worst, violations)."""
     rng = np.random.default_rng(seed)
     for arch in (ARCH_MP_GELU, ARCH_RELU):
         for mode in (FULL, DIAG):
             for head in (HEAD_HETEROSCEDASTIC, HEAD_HOMOSCEDASTIC):
-                config = network.build_model(arch, 4, 6, 0.2, mode, head)
+                config = network.build_model(arch, input_dim, width, dropout, mode, head)
                 params = network.init_parameters(config, seed)
-                x = rng.standard_normal((3, 4))
-                y = rng.standard_normal(3)
-                _, grads = training.loss_and_gradients(config, params, x, y)
-                worst = 0.0
-                ok = True
-                h = 1e-5
-                for arrs, garrs in ((params.weights, grads.weights),
-                                    (params.biases, grads.biases)):
-                    for li, w in enumerate(arrs):
-                        it = np.nditer(w, flags=["multi_index"])
-                        for _ in it:
-                            idx = it.multi_index
-                            orig = w[idx]
-                            w[idx] = orig + h
-                            lp, _ = training.loss_and_gradients(config, params, x, y)
-                            w[idx] = orig - h
-                            lm, _ = training.loss_and_gradients(config, params, x, y)
-                            w[idx] = orig
-                            fd = (lp - lm) / (2.0 * h)
-                            an = garrs[li][idx]
-                            if abs(an) < 1e-3:
-                                ok = ok and abs(an - fd) < 1e-7
-                            else:
-                                rel = abs(an - fd) / abs(an)
-                                worst = max(worst, rel)
-                                ok = ok and rel < 1e-4
-                yield f"gradient_fd {arch} {mode} {head}", ok, f"worst rel {worst:.2e}"
+                x = rng.standard_normal((batch, input_dim))
+                y = rng.standard_normal(batch)
+                yield (arch, mode, head, *fd_check(config, params, x, y))
+
+
+def _check_gradients(seed: int):
+    # Dropout 0.2 keeps head variances well away from the floor, where the
+    # objective's curvature would put the FD oracle inside its own noise.
+    for arch, mode, head, _, worst, violations in gradient_fd(seed, 4, 6, 0.2, 3):
+        yield f"gradient_fd {arch} {mode} {head}", not violations, f"worst rel {worst:.2e}"
 
 
 def run_self_checks(level: str = "quick", seed: int = 0):
-    """All self-check properties as (name, ok, detail) tuples."""
+    """All self-check properties as (name, ok, detail) tuples.
+
+    Each MC-oracle check fails beyond 4 standard errors, so a correct build
+    fails one by chance now and then: at level quick, 18 of seeds 0-299
+    (6 %) fail, and of seeds 0-21 seeds 8, 9, 13 and 21 do.  The bound is
+    kept as it is on purpose; changing it is a decision for a maintainer,
+    not a fix for a failing seed."""
     if level == "quick":
         samples, cases, obj_cases = 10**4, 3, 12
     elif level == "full":

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FULL, MomentError, MomentVector, VAR_CLAMP, mp_gelu_rates
-from .network import DENSE, DROPOUT, MP_GELU, RELU, LayerSpec
+from .moments import FULL, MomentError, MomentVector, VAR_CLAMP, _gate_rates
+from .network import _FWD, DENSE, DROPOUT, MP_GELU, RELU, LayerSpec
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,25 @@ def _empirical(draws: np.ndarray) -> McEstimate:
     return McEstimate(mean, cov, se_mean, se_cov, s)
 
 
+def _sample_layer(layer: LayerSpec, draws, rng, mean, var, wb):
+    """One layer applied to the (samples, n) `draws`.  `mean` and `var` are
+    the analytic (1, n) moments of the layer's input, which the gated
+    activation's rates come from; `wb` is a dense layer's (weights, bias)."""
+    if layer.kind == DENSE:
+        w, b = wb
+        return draws @ w.T + b
+    if layer.kind == DROPOUT:
+        keep = rng.random(draws.shape) < (1.0 - layer.rate)
+        return draws * keep
+    if layer.kind == MP_GELU:
+        rates, _, _ = _gate_rates(mean, var, "mc oracle")
+        keep = rng.random(draws.shape) < (1.0 - rates[0])
+        return draws * keep
+    if layer.kind == RELU:
+        return np.maximum(draws, 0.0)
+    raise ValueError(f"unknown layer kind {layer.kind!r}")
+
+
 def mc_layer_moments(
     layer: LayerSpec,
     mv: MomentVector,
@@ -90,22 +109,12 @@ def mc_layer_moments(
         raise ValueError(f"samples must be >= 1000, got {samples}")
     rng = np.random.default_rng(seed)
     draws = sample_input(mv, samples, rng)
+    wb = None
     if layer.kind == DENSE:
         if weights is None or bias is None:
             raise ValueError("dense layer needs weights and bias")
-        out = draws @ np.asarray(weights).T + np.asarray(bias)
-    elif layer.kind == DROPOUT:
-        keep = rng.random(draws.shape) < (1.0 - layer.rate)
-        out = draws * keep
-    elif layer.kind == MP_GELU:
-        rates = mp_gelu_rates(mv).rates
-        keep = rng.random(draws.shape) < (1.0 - rates)
-        out = draws * keep
-    elif layer.kind == RELU:
-        out = np.maximum(draws, 0.0)
-    else:
-        raise ValueError(f"unknown layer kind {layer.kind!r}")
-    return _empirical(out)
+        wb = (np.asarray(weights), np.asarray(bias))
+    return _empirical(_sample_layer(layer, draws, rng, mv.mean[None], mv.variances[None], wb))
 
 
 def mc_expected_ll(head_mv: MomentVector, y: float, samples: int, seed):
@@ -135,33 +144,19 @@ def mc_network_moments(config, params, x, samples: int, seed) -> McEstimate:
     masks, and the gated activation's rates come from the *analytic* moments
     of its input at that depth.
     """
-    from .network import forward_batch
-    from . import moments as _m
-
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     draws = np.tile(x, (samples, 1))
     mode = config.covariance_mode
     mean = x[None].copy()
-    cov = _m._zero_cov(1, x.size, mode)
+    cov = np.zeros_like(mean)  # per-unit variances, as in `forward_batch`
     dense_i = 0
     for layer in config.layers:
+        wb = None
         if layer.kind == DENSE:
-            w, b = params.weights[dense_i], params.biases[dense_i]
-            draws = draws @ w.T + b
-            mean, cov, _ = _m._dense_fwd(mean, cov, w, b, mode)
+            wb = (params.weights[dense_i], params.biases[dense_i])
             dense_i += 1
-        elif layer.kind == DROPOUT:
-            keep = rng.random(draws.shape) < (1.0 - layer.rate)
-            draws = draws * keep
-            mean, cov, _ = _m._dropout_fwd(mean, cov, layer.rate, mode)
-        elif layer.kind == MP_GELU:
-            var = np.einsum("bii->bi", cov) if mode == FULL else cov
-            rates, _, _ = _m._gate_rates(mean, var, "mc oracle")
-            keep = rng.random(draws.shape) < (1.0 - rates[0])
-            draws = draws * keep
-            mean, cov, _ = _m._mp_gelu_fwd(mean, cov, mode)
-        else:
-            draws = np.maximum(draws, 0.0)
-            mean, cov, _ = _m._relu_fwd(mean, cov, mode)
+        var = cov if cov.ndim == 2 else np.einsum("bii->bi", cov)
+        draws = _sample_layer(layer, draws, rng, mean, var, wb)
+        mean, cov, _ = _FWD[layer.kind](layer, mean, cov, wb, mode)
     return _empirical(draws)

@@ -345,12 +345,6 @@ def _relu_fwd(mean, cov, mode):
     return out_mean, out_cov, (mean, var, cov, sigma, det, cdf, pdf, out_mean)
 
 
-def _zero_cov(batch, n, mode):
-    if mode == FULL:
-        return np.zeros((batch, n, n))
-    return np.zeros((batch, n))
-
-
 # ---------------------------------------------------------------------------
 # Public single-example operations.
 # ---------------------------------------------------------------------------
@@ -365,7 +359,8 @@ def lift_deterministic(x, mode: str = FULL) -> MomentVector:
         raise MomentError("non-finite entries in input vector")
     if mode not in MODES:
         raise MomentError(f"unknown covariance mode {mode!r}")
-    return MomentVector(x, _zero_cov(1, x.size, mode)[0], mode)
+    cov = np.zeros((x.size, x.size)) if mode == FULL else np.zeros(x.size)
+    return MomentVector(x, cov, mode)
 
 
 def dense_propagate(mv: MomentVector, weights, bias) -> MomentVector:

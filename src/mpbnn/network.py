@@ -11,12 +11,18 @@ dense layer:
 
 The output head is either two units (predictive mean plus log-variance) or
 one unit (mean only).
+
+A layer kind is stated in four places: its forward kernel in `moments` and
+backward kernel in `training`, its `_FWD` entry below and its `_BWD` entry in
+`training` (dense, the one kind with parameters, is the backward loop's own
+branch), and its branch of `mc_oracle._sample_layer`.  `LayerSpec` accepts
+exactly the kinds `_FWD` knows.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +41,16 @@ HEAD_DIMS = {HEAD_HETEROSCEDASTIC: 2, HEAD_HOMOSCEDASTIC: 1}
 ARCH_MP_GELU = "mp_gelu"
 ARCH_RELU = "relu"
 
+# Forward rule per layer kind: (layer, mean, cov, (w, b) or None, mode) ->
+# (mean, cov, ctx).  Each entry looks its kernel up on `moments` when called,
+# so a kernel rebound there (by a tracer or a test) is the one that runs.
+_FWD = {
+    DENSE: lambda layer, mean, cov, wb, mode: moments._dense_fwd(mean, cov, *wb, mode),
+    DROPOUT: lambda layer, mean, cov, wb, mode: moments._dropout_fwd(mean, cov, layer.rate, mode),
+    MP_GELU: lambda layer, mean, cov, wb, mode: moments._mp_gelu_fwd(mean, cov, mode),
+    RELU: lambda layer, mean, cov, wb, mode: moments._relu_fwd(mean, cov, mode),
+}
+
 
 @dataclass(frozen=True)
 class LayerSpec:
@@ -46,7 +62,7 @@ class LayerSpec:
     rate: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in (DENSE, DROPOUT, MP_GELU, RELU):
+        if self.kind not in _FWD:
             raise ValueError(f"unknown layer kind {self.kind!r}")
         if self.kind == DENSE and (self.in_dim < 1 or self.out_dim < 1):
             raise ValueError(f"dense dims must be >= 1, got {self.in_dim}->{self.out_dim}")
@@ -113,40 +129,18 @@ class ModelConfig:
 
 @dataclass
 class ParameterSet:
-    """Dense weights/biases with paired gradient accumulators."""
+    """Dense-layer weights and biases, in layer order."""
 
     weights: list
     biases: list
-    grad_weights: list = field(default_factory=list)
-    grad_biases: list = field(default_factory=list)
 
     def __post_init__(self):
-        if not self.grad_weights:
-            self.grad_weights = [np.zeros_like(w) for w in self.weights]
-        if not self.grad_biases:
-            self.grad_biases = [np.zeros_like(b) for b in self.biases]
-        for w, b, gw, gb in zip(self.weights, self.biases, self.grad_weights, self.grad_biases):
-            if gw.shape != w.shape or gb.shape != b.shape:
-                raise ValueError("gradient shapes must mirror parameter shapes")
+        for w, b in zip(self.weights, self.biases):
             if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
                 raise ValueError("non-finite parameter entries")
 
     def copy(self) -> "ParameterSet":
-        return ParameterSet(
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            [g.copy() for g in self.grad_weights],
-            [g.copy() for g in self.grad_biases],
-        )
-
-
-def _validate_build_args(input_dim, width, dropout_rate):
-    if input_dim < 1:
-        raise ValueError(f"input_dim must be >= 1, got {input_dim}")
-    if width < 1:
-        raise ValueError(f"width must be >= 1, got {width}")
-    if not (0.0 <= dropout_rate <= 1.0):
-        raise ValueError(f"dropout rate {dropout_rate} outside [0, 1]")
+        return ParameterSet([w.copy() for w in self.weights], [b.copy() for b in self.biases])
 
 
 def build_mp_gelu_model(
@@ -157,7 +151,6 @@ def build_mp_gelu_model(
     head: str = HEAD_HETEROSCEDASTIC,
 ) -> ModelConfig:
     """Gated-activation network: one leading dropout, two gated hidden layers."""
-    _validate_build_args(input_dim, width, dropout_rate)
     layers = (
         dropout(dropout_rate),
         dense(input_dim, width),
@@ -177,7 +170,6 @@ def build_relu_model(
     head: str = HEAD_HETEROSCEDASTIC,
 ) -> ModelConfig:
     """Rectifier network: dropout before each of the three dense layers."""
-    _validate_build_args(input_dim, width, dropout_rate)
     layers = (
         dropout(dropout_rate),
         dense(input_dim, width),
@@ -216,6 +208,38 @@ def init_parameters(config: ModelConfig, seed) -> ParameterSet:
     return ParameterSet(weights, biases)
 
 
+def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=None):
+    """The moment pass over a (B, Q) batch of deterministic inputs.
+
+    The covariance starts as per-unit variances (see `moments`).  With a
+    `tape` list, every layer from the first dense layer up appends
+    (layer index, kind, index of the latest dense layer, ctx) for the
+    backward pass; layers below it have no parameters and nothing above
+    depends on their adjoints.  Also only then, a full-mode dense or dropout
+    layer's input covariance goes back to the step's buffer pool once the
+    layer has run: their contexts keep none of it, the gates' keep theirs.
+    (Diag-mode arrays are not pooled, so that release is a no-op there.)
+    """
+    mode = config.covariance_mode
+    mean = xs
+    cov = np.zeros_like(mean)
+    dense_i = 0
+    for layer_i, layer in enumerate(config.layers):
+        kind = layer.kind
+        wb = None
+        if kind == DENSE:
+            wb = (params.weights[dense_i], params.biases[dense_i])
+            dense_i += 1
+        cov_in = cov
+        mean, cov, ctx = _FWD[kind](layer, mean, cov, wb, mode)
+        if tape is not None:
+            if kind in (DENSE, DROPOUT):
+                moments._release(cov_in)
+            if dense_i:
+                tape.append((layer_i, kind, dense_i - 1, ctx))
+    return mean, cov
+
+
 def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
     """Moment pass over a batch of deterministic inputs.
 
@@ -228,23 +252,7 @@ def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
         raise MomentError(f"input batch must be (B, {config.input_dim}), got {xs.shape}")
     if not np.isfinite(xs).all():
         raise MomentError("non-finite entries in input batch")
-    mode = config.covariance_mode
-    mean = xs.copy()
-    cov = np.zeros_like(mean)  # per-unit variances up to the first dense layer
-    dense_i = 0
-    for layer in config.layers:
-        if layer.kind == DENSE:
-            mean, cov, _ = moments._dense_fwd(
-                mean, cov, params.weights[dense_i], params.biases[dense_i], mode
-            )
-            dense_i += 1
-        elif layer.kind == DROPOUT:
-            mean, cov, _ = moments._dropout_fwd(mean, cov, layer.rate, mode)
-        elif layer.kind == MP_GELU:
-            mean, cov, _ = moments._mp_gelu_fwd(mean, cov, mode)
-        else:
-            mean, cov, _ = moments._relu_fwd(mean, cov, mode)
-    return mean, cov
+    return _run_layers(config, params, xs.copy())
 
 
 def forward(config: ModelConfig, params: ParameterSet, x) -> MomentVector:

@@ -33,8 +33,10 @@ from .network import (
     DROPOUT,
     HEAD_HETEROSCEDASTIC,
     MP_GELU,
+    RELU,
     ModelConfig,
     ParameterSet,
+    _run_layers,
     forward_batch,
     init_parameters,
 )
@@ -197,48 +199,27 @@ def _relu_bwd(ctx, g_mean, g_cov, mode):
     return g_mean_in, g_cov_in
 
 
+# Adjoint per parameter-free layer kind, each looked up when called (see
+# `network._FWD`).  Dense is the backward loop's own branch: it alone yields
+# parameter gradients, and the tape starts at the first dense layer.
+_BWD = {
+    DROPOUT: lambda ctx, g_mean, g_cov, mode: _dropout_bwd(ctx, g_mean, g_cov, mode),
+    MP_GELU: lambda ctx, g_mean, g_cov, mode: _mp_gelu_bwd(ctx, g_mean, g_cov, mode),
+    RELU: lambda ctx, g_mean, g_cov, mode: _relu_bwd(ctx, g_mean, g_cov, mode),
+}
+
+
 def _forward_tape(config, params, xs):
-    """Batched forward pass recording per-layer backward contexts.
-
-    Layers below the first dense layer have no parameters and nothing
-    above depends on their adjoints, so they are not recorded.
-
-    In full mode the dense and dropout contexts keep nothing of their input
-    covariance, so that input goes back to the step's buffer pool as soon as
-    the layer has run; the gates' contexts keep theirs.  (Diag-mode arrays
-    are not pooled, so releasing the dense input there is a no-op.)"""
-    mode = config.covariance_mode
-    mean = np.asarray(xs, dtype=float)
-    cov = np.zeros_like(mean)
+    """Batched forward pass recording per-layer backward contexts."""
     tape = []
-    dense_i = 0
-    for layer_i, layer in enumerate(config.layers):
-        param_i = None
-        cov_in = cov
-        if layer.kind == DENSE:
-            param_i = dense_i
-            mean, cov, ctx = moments._dense_fwd(
-                mean, cov, params.weights[dense_i], params.biases[dense_i], mode
-            )
-            dense_i += 1
-        elif layer.kind == DROPOUT:
-            mean, cov, ctx = moments._dropout_fwd(mean, cov, layer.rate, mode)
-        elif layer.kind == MP_GELU:
-            mean, cov, ctx = moments._mp_gelu_fwd(mean, cov, mode)
-        else:
-            mean, cov, ctx = moments._relu_fwd(mean, cov, mode)
-        if layer.kind in (DENSE, DROPOUT):
-            moments._release(cov_in)
-        if dense_i:
-            tape.append((layer_i, layer.kind, param_i, ctx))
+    mean, cov = _run_layers(config, params, xs, tape)
     return mean, cov, tape
 
 
 def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
     """Mean negative expected log-likelihood over a batch, with exact gradients.
 
-    Returns (loss, GradientSet); the .grad_* accumulators on `params` are
-    overwritten with the same values.
+    Returns (loss, GradientSet).
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -264,10 +245,7 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
         if not math.isfinite(loss):
             raise FloatingPointError("non-finite training loss")
 
-        grads = GradientSet(
-            [np.zeros_like(w) for w in params.weights],
-            [np.zeros_like(b) for b in params.biases],
-        )
+        grads = GradientSet([None] * len(params.weights), [None] * len(params.biases))
         for layer_i, kind, dense_i, ctx in reversed(tape):
             if kind == DENSE:
                 g_mean, g_cov, g_w, g_b = _dense_bwd(
@@ -279,20 +257,12 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
                     raise FloatingPointError(f"non-finite gradient in layer {layer_i} (dense)")
                 if dense_i == 0:  # the tape starts here; no input adjoints
                     break
-            elif kind == DROPOUT:
-                g_mean, g_cov = _dropout_bwd(ctx, g_mean, g_cov, mode)
-            elif kind == MP_GELU:
-                g_mean, g_cov = _mp_gelu_bwd(ctx, g_mean, g_cov, mode)
             else:
-                g_mean, g_cov = _relu_bwd(ctx, g_mean, g_cov, mode)
+                g_mean, g_cov = _BWD[kind](ctx, g_mean, g_cov, mode)
             if not np.isfinite(g_mean).all():
                 raise FloatingPointError(f"non-finite gradient in layer {layer_i} ({kind})")
     finally:
         moments._close_step()
-
-    for gw, gb, pw, pb in zip(grads.weights, grads.biases, params.grad_weights, params.grad_biases):
-        pw[...] = gw
-        pb[...] = gb
     return loss, grads
 
 

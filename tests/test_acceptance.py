@@ -17,8 +17,7 @@ from mpbnn import moments as m
 from mpbnn import network as net
 from mpbnn import objective as obj
 from mpbnn import training as tr
-from mpbnn.mc_oracle import mc_expected_ll, mc_layer_moments
-from mpbnn.network import LayerSpec
+from mpbnn.mc_oracle import mc_expected_ll
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(REPO_ROOT, "data")
@@ -47,70 +46,16 @@ class TestCriterion1MomentOracle:
         4 se on every mean and covariance entry; full-mode rectifier
         off-diagonals additionally accept 15% of the entry scale sigma_i
         sigma_j (the documented first-order approximation)."""
-        samples = 10**5
-        cases = 100
-        n = 4
         failures = []
         worst = 0.0
-        kinds = (net.DENSE, net.DROPOUT, net.MP_GELU, net.RELU)
         for mode in (m.FULL, m.DIAG):
-            for kind in kinds:
-                rng = np.random.default_rng(
-                    np.random.SeedSequence((99, int(mode == m.FULL), kinds.index(kind)))
+            for k, kind in enumerate(cli.LAYER_KINDS):
+                rng = np.random.default_rng(np.random.SeedSequence((99, int(mode == m.FULL), k)))
+                kind_worst, kind_failures = cli.layer_oracle(
+                    kind, mode, 100, 10**5, rng, lambda case: data.derived_seed(99, k, case)
                 )
-                for case in range(cases):
-                    mv = cli._random_case(n, mode, rng)
-                    seed = data.derived_seed(99, kinds.index(kind), case)
-                    if kind == net.DENSE:
-                        w = rng.standard_normal((3, n))
-                        b = rng.standard_normal(3)
-                        out = m.dense_propagate(mv, w, b)
-                        est = mc_layer_moments(
-                            LayerSpec(kind, in_dim=n, out_dim=3), mv, samples, seed,
-                            weights=w, bias=b,
-                        )
-                    elif kind == net.DROPOUT:
-                        out = m.dropout_propagate(mv, 0.13)
-                        est = mc_layer_moments(LayerSpec(kind, rate=0.13), mv, samples, seed)
-                    elif kind == net.MP_GELU:
-                        out = m.mp_gelu_propagate(mv)
-                        est = mc_layer_moments(LayerSpec(kind), mv, samples, seed)
-                    else:
-                        out = m.relu_propagate(mv)
-                        est = mc_layer_moments(LayerSpec(kind), mv, samples, seed)
-
-                    dev = np.abs(out.mean - est.mean) / np.maximum(
-                        est.standard_error_mean, 1e-12
-                    )
-                    worst = max(worst, float(dev.max()))
-                    if dev.max() > 4.0:
-                        failures.append((mode, kind, case, "mean", float(dev.max())))
-                    if mode == m.FULL:
-                        ac = np.asarray(out.cov)
-                        dev_c = np.abs(ac - est.cov) / np.maximum(
-                            est.standard_error_cov, 1e-12
-                        )
-                        eye = np.eye(out.dim, dtype=bool)
-                        if kind == net.RELU:
-                            sd = np.sqrt(out.variances)
-                            within_scale = np.abs(ac - est.cov) <= 0.15 * np.outer(sd, sd)
-                            bad = ~((dev_c <= 4.0) | within_scale) & ~eye
-                            if bad.any():
-                                failures.append((mode, kind, case, "offdiag", float(dev_c[bad].max())))
-                            worst = max(worst, float(dev_c[eye].max()))
-                            if dev_c[eye].max() > 4.0:
-                                failures.append((mode, kind, case, "var", float(dev_c[eye].max())))
-                        else:
-                            worst = max(worst, float(dev_c.max()))
-                            if dev_c.max() > 4.0:
-                                failures.append((mode, kind, case, "cov", float(dev_c.max())))
-                    else:
-                        dev_v = np.abs(out.variances - np.diag(est.cov)) / np.maximum(
-                            np.diagonal(est.standard_error_cov), 1e-12
-                        )
-                        worst = max(worst, float(dev_v.max()))
-                        if dev_v.max() > 4.0:
-                            failures.append((mode, kind, case, "var", float(dev_v.max())))
+                worst = max(worst, kind_worst)
+                failures += [(mode, kind, *f) for f in kind_failures]
         ok = not failures
         report(1, "moment oracle", ok,
                f"800 cases, worst 4se-bound deviation {worst:.2f} se, "
@@ -122,38 +67,11 @@ class TestCriterion2Gradients:
     def test_gradients_match_finite_differences_width_20(self):
         """Central differences (step 1e-5): rel err < 1e-4, abs < 1e-7 when
         |gradient| < 1e-3, on width-20 nets for every arch/mode/head."""
-        h = 1e-5
         violations = []
         checked = 0
-        rng = np.random.default_rng(42)
-        for arch in (net.ARCH_MP_GELU, net.ARCH_RELU):
-            for mode in (m.FULL, m.DIAG):
-                for head in (net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC):
-                    config = net.build_model(arch, 6, 20, 0.1, mode, head)
-                    params = net.init_parameters(config, 42)
-                    x = rng.standard_normal((6, 6))
-                    y = rng.standard_normal(6)
-                    _, grads = tr.loss_and_gradients(config, params, x, y)
-                    for arrs, garrs in ((params.weights, grads.weights),
-                                        (params.biases, grads.biases)):
-                        for li, w in enumerate(arrs):
-                            it = np.nditer(w, flags=["multi_index"])
-                            for _ in it:
-                                idx = it.multi_index
-                                orig = w[idx]
-                                w[idx] = orig + h
-                                lp, _ = tr.loss_and_gradients(config, params, x, y)
-                                w[idx] = orig - h
-                                lm, _ = tr.loss_and_gradients(config, params, x, y)
-                                w[idx] = orig
-                                fd = (lp - lm) / (2.0 * h)
-                                an = garrs[li][idx]
-                                checked += 1
-                                if abs(an) < 1e-3:
-                                    if abs(an - fd) >= 1e-7:
-                                        violations.append((arch, mode, head, li, idx))
-                                elif abs(an - fd) / abs(an) >= 1e-4:
-                                    violations.append((arch, mode, head, li, idx))
+        for arch, mode, head, coordinates, _, bad in cli.gradient_fd(42, 6, 20, 0.1, 6):
+            checked += coordinates
+            violations += [(arch, mode, head, *v) for v in bad]
         ok = not violations
         report(2, "gradient suite", ok,
                f"{checked} coordinates over 8 configurations, {len(violations)} violations")

@@ -169,6 +169,32 @@ class TestCheckCommand:
         list(cli._check_layer_oracle(10**4, 1, 0))
         assert set(recorded) == {10**4}
 
+    def test_layer_oracle_lines_pinned(self):
+        """Quick-level oracle lines of four seeds, with the known 4-se false
+        alarms of seeds 9, 13 and 21 (see `run_self_checks`): a change to a
+        bound, a seed derivation or a layer rule moves them."""
+
+        def lines(seed):
+            return [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+                    for name, ok, detail in cli._check_layer_oracle(10**4, 3, seed)]
+
+        assert lines(0) == [
+            "PASS moment_oracle dense full: worst dev 1.798 se",
+            "PASS moment_oracle dropout full: worst dev 1.767 se",
+            "PASS moment_oracle mp_gelu full: worst dev 2.789 se",
+            "PASS moment_oracle relu full: worst dev 2.358 se",
+            "PASS moment_oracle dense diag: worst dev 3.042 se",
+            "PASS moment_oracle dropout diag: worst dev 2.501 se",
+            "PASS moment_oracle mp_gelu diag: worst dev 1.633 se",
+            "PASS moment_oracle relu diag: worst dev 2.257 se",
+        ]
+        for seed, fail in ((13, "mp_gelu full: worst dev 4.208 se"),
+                           (21, "relu full: worst dev 4.020 se"),
+                           (9, "relu diag: worst dev 4.079 se")):
+            got = lines(seed)
+            assert len(got) == 8
+            assert [l for l in got if l.startswith("FAIL")] == [f"FAIL moment_oracle {fail}"]
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             cli.run_self_checks("bogus")

@@ -5,6 +5,7 @@ import pytest
 
 from mpbnn import moments as m
 from mpbnn import network as net
+from mpbnn import training as tr
 from mpbnn.mc_oracle import mc_network_moments
 
 
@@ -64,15 +65,15 @@ class TestParameterSet:
             net.ParameterSet([np.array([[np.nan]])], [np.zeros(1)])
 
     def test_gradient_shapes_mirror_parameters(self):
-        config = net.build_mp_gelu_model(3, 4)
-        params = net.init_parameters(config, 0)
-        for w, g in zip(params.weights, params.grad_weights):
-            assert w.shape == g.shape
-        with pytest.raises(ValueError):
-            net.ParameterSet(
-                [np.zeros((2, 2))], [np.zeros(2)],
-                grad_weights=[np.zeros((3, 3))], grad_biases=[np.zeros(2)],
-            )
+        """The GradientSet of a step is shaped exactly like the parameters."""
+        rng = np.random.default_rng(1)
+        x, y = rng.standard_normal((2, 3)), rng.standard_normal(2)
+        for arch in (net.ARCH_MP_GELU, net.ARCH_RELU):
+            config = net.build_model(arch, 3, 4, 0.1, m.FULL, net.HEAD_HOMOSCEDASTIC)
+            params = net.init_parameters(config, 0)
+            _, grads = tr.loss_and_gradients(config, params, x, y)
+            assert [g.shape for g in grads.weights] == [w.shape for w in params.weights]
+            assert [g.shape for g in grads.biases] == [b.shape for b in params.biases]
 
 
 class TestInitParameters:

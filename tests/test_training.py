@@ -1,39 +1,22 @@
 """Gradient machinery and the SGD loop."""
 
 import threading
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from mpbnn import cli
 from mpbnn import moments as m
 from mpbnn import network as net
 from mpbnn import training as tr
 from mpbnn.data import toy_generate
-
-
-def fd_gradient(config, params, x, y, arr, idx, h=1e-5):
-    orig = arr[idx]
-    arr[idx] = orig + h
-    lp, _ = tr.loss_and_gradients(config, params, x, y)
-    arr[idx] = orig - h
-    lm, _ = tr.loss_and_gradients(config, params, x, y)
-    arr[idx] = orig
-    return (lp - lm) / (2.0 * h)
+from mpbnn.mc_oracle import mc_network_moments
 
 
 def assert_grads_match_fd(config, params, x, y):
-    _, grads = tr.loss_and_gradients(config, params, x, y)
-    for arrs, garrs in ((params.weights, grads.weights), (params.biases, grads.biases)):
-        for li, arr in enumerate(arrs):
-            it = np.nditer(arr, flags=["multi_index"])
-            for _ in it:
-                idx = it.multi_index
-                fd = fd_gradient(config, params, x, y, arr, idx)
-                an = garrs[li][idx]
-                if abs(an) < 1e-3:
-                    assert abs(an - fd) < 1e-7, (li, idx, an, fd)
-                else:
-                    assert abs(an - fd) / abs(an) < 1e-4, (li, idx, an, fd)
+    _, _, violations = cli.fd_check(config, params, x, y)
+    assert not violations, violations[:5]
 
 
 class TestLossAndGradients:
@@ -121,15 +104,44 @@ class TestLossAndGradients:
                 config, params, rng.standard_normal((2, 2)), rng.standard_normal(2)
             )
 
-    def test_gradient_accumulators_updated_in_place(self):
-        config = net.build_mp_gelu_model(2, 3, 0.1)
-        params = net.init_parameters(config, 0)
-        rng = np.random.default_rng(1)
-        _, grads = tr.loss_and_gradients(
-            config, params, rng.standard_normal((2, 2)), rng.standard_normal(2)
-        )
-        for acc, g in zip(params.grad_weights, grads.weights):
-            np.testing.assert_array_equal(acc, g)
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_layer_tables_look_kernels_up_when_called(self, monkeypatch, mode):
+        """Kernels rebound on their modules after import are the ones every
+        pass runs; a table entry bound at import would count no calls."""
+        calls = Counter()
+
+        def counting(name, orig):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return orig(*args, **kwargs)
+            return wrapper
+
+        for module, suffix in ((m, "fwd"), (tr, "bwd")):
+            for kind in cli.LAYER_KINDS:
+                name = f"_{kind}_{suffix}"
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        # The backward pass skips the leading dropout, below the first dense layer.
+        expected = {
+            net.ARCH_MP_GELU: ({"_dropout_fwd": 1, "_dense_fwd": 3, "_mp_gelu_fwd": 2},
+                               {"_dense_bwd": 3, "_mp_gelu_bwd": 2}),
+            net.ARCH_RELU: ({"_dropout_fwd": 3, "_dense_fwd": 3, "_relu_fwd": 2},
+                            {"_dropout_bwd": 2, "_dense_bwd": 3, "_relu_bwd": 2}),
+        }
+        for arch, (fwd, bwd) in expected.items():
+            config = net.build_model(arch, 3, 5, 0.1, mode, net.HEAD_HETEROSCEDASTIC)
+            params = net.init_parameters(config, 0)
+            for run, want in ((lambda: net.forward_batch(config, params, x), fwd),
+                              (lambda: tr.loss_and_gradients(config, params, x, y), {**fwd, **bwd}),
+                              (lambda: mc_network_moments(config, params, x[0], 1000, 0), fwd)):
+                calls.clear()
+                run()
+                assert calls == Counter(want), arch
+        for k, kind in enumerate(cli.LAYER_KINDS):
+            calls.clear()
+            cli.layer_oracle(kind, mode, 2, 1000, np.random.default_rng(k), lambda case: case)
+            assert calls == Counter({f"_{kind}_fwd": 2}), kind
 
 
 class TestStepBufferPool:
