@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FULL, MomentError, MomentVector, VAR_CLAMP, _gate_rates
+from .moments import FULL, MomentError, MomentVector, VAR_CLAMP, _diag, _gate_rates
 from .network import _FWD, DENSE, DROPOUT, MP_GELU, RELU, LayerSpec
 
 
@@ -156,7 +156,7 @@ def mc_network_moments(config, params, x, samples: int, seed) -> McEstimate:
         if layer.kind == DENSE:
             wb = (params.weights[dense_i], params.biases[dense_i])
             dense_i += 1
-        var = cov if cov.ndim == 2 else np.einsum("bii->bi", cov)
+        var = cov if cov.ndim == 2 else _diag(cov)
         draws = _sample_layer(layer, draws, rng, mean, var, wb)
         mean, cov, _ = _FWD[layer.kind](layer, mean, cov, wb, mode)
     return _empirical(draws)

@@ -28,6 +28,14 @@ nothing; every lent buffer returns to the pool when the step closes, and
 `_release` returns one earlier once nothing reads it any more.  The pool
 holds, for the life of its thread, about the memory of the largest step
 that thread ran.
+
+Guard rule: the gates decide both the clamp of their input variances and
+whether any unit's σ is below `SIGMA_FLOOR` from one `min` (sqrt is
+monotone, so some σ is below the floor exactly when sqrt(min var) is).  In
+the common case no unit is, and the kernel runs its plain formulas and puts
+`det = None` in its context; otherwise `det` is the mask of the
+deterministic units and the guarded formulas run.  Every adjoint accepts
+both, and gives the same bits on the other units either way.
 """
 
 from __future__ import annotations
@@ -52,6 +60,12 @@ VAR_CLAMP = -1e-10
 SYM_RTOL = 1e-9
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+# Whole-array reductions of the per-call guards, without the Python frame of
+# `ndarray.min()` and friends: a tenth of their cost on a 20-unit row.
+_min = np.minimum.reduce
+_max = np.maximum.reduce
+_all = np.logical_and.reduce
 
 
 class MomentError(ValueError):
@@ -106,7 +120,7 @@ def _clamp_variances(var: np.ndarray, where: str) -> np.ndarray:
     One `min` decides the common case.  NaN entries stay NaN and -0.0 is not
     negative; the minimum is NaN when any entry is, so then the raise looks
     at every entry."""
-    worst = var.min() if var.size else 0.0
+    worst = _min(var, axis=None) if var.size else 0.0
     if worst >= 0.0:
         return var
     if worst < VAR_CLAMP or (worst != worst and np.any(var < VAR_CLAMP)):
@@ -114,11 +128,45 @@ def _clamp_variances(var: np.ndarray, where: str) -> np.ndarray:
     return np.where(var < 0.0, 0.0, var)
 
 
+def _floor_guard(var: np.ndarray, where: str):
+    """A gate's input variances clamped, their square roots, and the mask
+    of the units whose σ is below `SIGMA_FLOOR`, or None when there are none.
+
+    One `min` decides the common case: no negative or NaN variance and
+    sqrt(min var) at or above the floor.  Anything else takes the
+    element-wise path of `_clamp_variances`."""
+    worst = _min(var, axis=None) if var.size else 0.0
+    if worst >= 0.0 and math.sqrt(worst) >= SIGMA_FLOOR:
+        return var, _counted_sqrt(var), None
+    var = _clamp_variances(var, where)
+    sigma = _counted_sqrt(var)
+    det = sigma < SIGMA_FLOOR
+    return var, sigma, (det if det.any() else None)
+
+
+def _diag(a: np.ndarray, write: bool = False) -> np.ndarray:
+    """View of the diagonals of the trailing (n, n) axes of `a`: read-only
+    (numpy's `diagonal`, the cheapest), or with `write` a writable one.
+
+    The writable view of a C-contiguous array is a strided view of its
+    flattened matrices.  Any other array falls back to `einsum`: reshaping
+    it would copy, and writes to the copy would be lost."""
+    if not write:
+        return a.diagonal(0, -2, -1)
+    if a.flags.c_contiguous:
+        n = a.shape[-1]
+        if a.ndim == 3:
+            return a.reshape(a.shape[0], n * n)[:, :: n + 1]
+        if a.ndim == 2:
+            return a.reshape(n * n)[:: n + 1]
+    return np.einsum("...ii->...i", a)
+
+
 def _clamp_diag_inplace(cov: np.ndarray, where: str) -> np.ndarray:
-    d = np.einsum("...ii->...i", cov)
+    d = _diag(cov)
     clamped = _clamp_variances(d, where)
     if clamped is not d:
-        d[...] = clamped
+        _diag(cov, write=True)[...] = clamped
     return cov
 
 
@@ -142,14 +190,17 @@ class MomentVector:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size == 0:
             raise MomentError("mean must be a non-empty 1-d vector")
-        if not (np.isfinite(mean).all() and np.isfinite(cov).all()):
+        # max |cov| is finite exactly when every entry is, and it is also
+        # the symmetry check's scale.
+        cov_max = float(_max(np.abs(cov), axis=None)) if cov.size else 0.0
+        if not (_all(np.isfinite(mean)) and math.isfinite(cov_max)):
             raise MomentError("non-finite entries in moments")
         n = mean.size
         if self.mode == FULL:
             if cov.shape != (n, n):
                 raise MomentError(f"full covariance must be ({n}, {n}), got {cov.shape}")
-            scale = max(1.0, float(np.max(np.abs(cov))))
-            if np.max(np.abs(cov - cov.T)) > SYM_RTOL * scale:
+            # cov − covᵀ is exactly antisymmetric, so its max is its max |·|.
+            if _max(cov - cov.T, axis=None) > SYM_RTOL * max(1.0, cov_max):
                 raise MomentError("full covariance is not symmetric")
             cov = cov.copy()
             _clamp_diag_inplace(cov, "MomentVector")
@@ -158,8 +209,8 @@ class MomentVector:
                 raise MomentError(f"diag covariance must be ({n},), got {cov.shape}")
             cov = _clamp_variances(cov.copy(), "MomentVector")
         mean = mean.copy()
-        mean.flags.writeable = False
-        cov.flags.writeable = False
+        mean.setflags(write=False)
+        cov.setflags(write=False)
         object.__setattr__(self, "mean", mean)
         object.__setattr__(self, "cov", cov)
 
@@ -171,7 +222,7 @@ class MomentVector:
     def variances(self) -> np.ndarray:
         """Per-unit variances in either mode."""
         if self.mode == FULL:
-            return np.diagonal(self.cov)
+            return _diag(self.cov)
         return self.cov
 
 
@@ -247,7 +298,9 @@ def _release(arr: np.ndarray) -> None:
 
 
 def _dense_fwd(mean, cov, w, b, mode):
-    out_mean = mean @ w.T + b
+    # `np.dot` rather than `@`: the same BLAS product with less per-call
+    # dispatch, which is most of the cost on one row.
+    out_mean = np.dot(mean, w.T) + b
     if mode == FULL:
         # W Σ Wᵀ as (W Σ) Wᵀ, the second product one flat GEMM; W Σ is kept
         # for the backward pass.  A diagonal Σ = diag(v) gives W Σ = W ∘ v.
@@ -262,17 +315,16 @@ def _dense_fwd(mean, cov, w, b, mode):
         np.matmul(wsig.reshape(-1, n), w.T, out=out_cov.reshape(-1, m))
         _clamp_diag_inplace(out_cov, "dense_propagate")
         return out_mean, out_cov, (mean, w, wsig)
-    out_cov = cov @ (w * w).T
+    out_cov = np.dot(cov, (w * w).T)
     out_cov = _clamp_variances(out_cov, "dense_propagate")
     return out_mean, out_cov, (mean, w, cov)
 
 
-def _scale_offdiag(cov, gain, diag, out):
-    """Writes gain_i gain_j cov_ij off the diagonal and `diag` on it into
-    `out`, which may be `cov`; used by the gates and their adjoints."""
+def _scale_gains(cov, gain, out):
+    """Writes gain_i gain_j cov_ij into `out`, which may be `cov`; the gates
+    and their adjoints then set the diagonal."""
     np.multiply(cov, gain[:, :, None], out=out)
     out *= gain[:, None, :]
-    np.einsum("bii->bi", out)[...] = diag
     return out
 
 
@@ -281,68 +333,73 @@ def _dropout_fwd(mean, cov, rate, mode):
     q = 1.0 - p
     out_mean = q * mean
     if cov.ndim == 3:
-        var = np.einsum("bii->bi", cov)
         out_cov = np.multiply(cov, q * q, out=_empty(cov.shape))
-        np.einsum("bii->bi", out_cov)[...] = q * var + p * q * mean * mean
+        out_var = np.multiply(_diag(cov), q, out=_diag(out_cov, write=True))
     else:
-        out_cov = q * cov + p * q * mean * mean
+        out_cov = out_var = q * cov
+    out_var += p * q * mean * mean
     return out_mean, out_cov, (mean, p)
 
 
 def _gate_rates(mean, var, where):
     """Drop probability Φ(−μ/σ) per unit, with the σ→0 sign limit.
 
-    Returns (p, sigma, deterministic_mask)."""
-    var = _clamp_variances(var, where)
-    sigma = _counted_sqrt(var)
-    det = sigma < SIGMA_FLOOR
-    safe_sigma = np.where(det, 1.0, sigma)
-    p = _norm_cdf(-mean / safe_sigma)
-    if det.any():
-        limit = np.where(mean > 0.0, 0.0, np.where(mean < 0.0, 1.0, 0.5))
-        p = np.where(det, limit, p)
-    return p, sigma, det
+    Returns (p, sigma, det); det as from `_floor_guard`."""
+    var, sigma, det = _floor_guard(var, where)
+    if det is None:
+        return _norm_cdf(-mean / sigma), sigma, None
+    p = _norm_cdf(-mean / np.where(det, 1.0, sigma))
+    limit = np.where(mean > 0.0, 0.0, np.where(mean < 0.0, 1.0, 0.5))
+    return np.where(det, limit, p), sigma, det
 
 
 def _mp_gelu_fwd(mean, cov, mode):
-    var = np.einsum("bii->bi", cov) if cov.ndim == 3 else cov
+    var = _diag(cov) if cov.ndim == 3 else cov
     p, sigma, det = _gate_rates(mean, var, "mp_gelu_propagate")
     q = 1.0 - p
     out_mean = q * mean
-    out_var = q * var + p * q * mean * mean
     if cov.ndim == 3:
-        out_cov = _scale_offdiag(cov, q, out_var, _empty(cov.shape))
+        out_cov = _scale_gains(cov, q, _empty(cov.shape))
+        out_var = np.multiply(q, var, out=_diag(out_cov, write=True))
     else:
-        out_cov = out_var
+        out_cov = out_var = q * var
+    out_var += p * out_mean * mean
     return out_mean, out_cov, (mean, var, cov, p, q, sigma, det)
 
 
 def _relu_fwd(mean, cov, mode):
-    var = np.einsum("bii->bi", cov) if cov.ndim == 3 else cov
-    var = _clamp_variances(var, "relu_propagate")
-    sigma = _counted_sqrt(var)
-    det = sigma < SIGMA_FLOOR
-    safe_sigma = np.where(det, 1.0, sigma)
-    alpha = mean / safe_sigma
-    cdf = _norm_cdf(alpha)
+    var = _diag(cov) if cov.ndim == 3 else cov
+    var, sigma, det = _floor_guard(var, "relu_propagate")
+    alpha = mean / (sigma if det is None else np.where(det, 1.0, sigma))
+    # Both tails of Φ(α) from one erf: lo = Φ(−|α|) is the small one and
+    # keeps its relative precision; the other is 1 − lo.
+    nabs = np.copysign(alpha, -1.0)
+    lo = _norm_cdf(nabs)
+    cdf = 1.0 - lo
+    np.copyto(cdf, lo, where=alpha < 0.0)
     pdf = _norm_pdf(alpha)
-    if det.any():
+    if det is not None:
         step = np.where(mean > 0.0, 1.0, np.where(mean < 0.0, 0.0, 0.5))
         cdf = np.where(det, step, cdf)
         pdf = np.where(det, 0.0, pdf)
     out_mean = mean * cdf + sigma * pdf
-    second = (mean * mean + var) * cdf + mean * sigma * pdf
-    out_var = _clamp_variances(second - out_mean * out_mean, "relu_propagate")
-    if det.any():
+    # var' = var·(Φ + α²ΦΦc + αφ(Φc − Φ) − φ²), Φc = 1 − Φ, is E[r²] − mean'²
+    # without its cancellation at large α.  Whatever the sign of α, the last
+    # three terms are (−|α| lo + φ)(−|α| (1 − lo) − φ) = v (−|α| − v).
+    v = nabs * lo + pdf
+    out_var = var * (cdf + v * (nabs - v))
+    out_var = _clamp_variances(out_var, "relu_propagate")
+    if det is not None:
         # The linearization the off-diagonals use: a zero variance next to
         # gain·gain·Σ_ij off the diagonal would not be PSD.
         out_mean = np.where(det, np.maximum(mean, 0.0), out_mean)
         out_var = np.where(det, cdf * cdf * var, out_var)
     if cov.ndim == 3:
-        out_cov = _scale_offdiag(cov, cdf, out_var, _empty(cov.shape))
+        out_cov = _scale_gains(cov, cdf, _empty(cov.shape))
+        _diag(out_cov, write=True)[...] = out_var
     else:
         out_cov = out_var
-    return out_mean, out_cov, (mean, var, cov, sigma, det, cdf, pdf, out_mean)
+    return out_mean, out_cov, (mean, var, cov, sigma, det, cdf, lo, pdf, out_mean)
 
 
 # ---------------------------------------------------------------------------
@@ -418,7 +475,8 @@ def relu_propagate(mv: MomentVector) -> MomentVector:
     """Rectifier moments, exact per unit, first-order across units.
 
     With α_i = μ_i/σ_i: mean'_i = μ_i Φ(α_i) + σ_i φ(α_i) and
-    E[r_i²] = (μ_i² + var_i) Φ(α_i) + μ_i σ_i φ(α_i); var' follows.  σ_i below
+    var'_i = var_i (Φ + α_i² Φ Φc + α_i φ (Φc − Φ) − φ²), Φc = 1 − Φ(α_i), the
+    form of E[r_i²] − mean'_i² that does not cancel at large α_i.  σ_i below
     1e-12 degenerates to max(0, μ_i) with the first-order variance
     step(μ_i)² var_i, zero at σ_i = 0.  Full-mode off-diagonals
     use the first-order gain product Cov'_ij = Φ(α_i) Φ(α_j) Cov_ij, which

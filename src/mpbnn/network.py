@@ -222,7 +222,7 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     """
     mode = config.covariance_mode
     mean = xs
-    cov = np.zeros_like(mean)
+    cov = np.zeros(mean.shape)
     dense_i = 0
     for layer_i, layer in enumerate(config.layers):
         kind = layer.kind
@@ -250,9 +250,9 @@ def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != config.input_dim:
         raise MomentError(f"input batch must be (B, {config.input_dim}), got {xs.shape}")
-    if not np.isfinite(xs).all():
+    if not moments._all(np.isfinite(xs), axis=None):
         raise MomentError("non-finite entries in input batch")
-    return _run_layers(config, params, xs.copy())
+    return _run_layers(config, params, xs)
 
 
 def forward(config: ModelConfig, params: ParameterSet, x) -> MomentVector:

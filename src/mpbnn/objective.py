@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FULL, MomentError, MomentVector
+from .moments import FULL, MomentError, MomentVector, _diag
 from .network import HEAD_HETEROSCEDASTIC, HEAD_HOMOSCEDASTIC
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -45,18 +45,21 @@ class PredictiveMoments:
 
 
 def _head_parts(mean, cov, mode):
-    """Split batched 2-output head moments into scalars (Σ12 = 0 in diag)."""
-    m1 = mean[:, 0]
-    m2 = mean[:, 1]
+    """Split batched 2-output head moments into per-row vectors; Σ12 is the
+    scalar 0.0 in diag mode."""
     if mode == FULL:
-        s11 = cov[:, 0, 0]
-        s12 = cov[:, 0, 1]
-        s22 = cov[:, 1, 1]
-    else:
-        s11 = cov[:, 0]
-        s12 = np.zeros_like(s11)
-        s22 = cov[:, 1]
-    return m1, m2, s11, s12, s22
+        return mean[:, 0], mean[:, 1], cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+    return mean[:, 0], mean[:, 1], cov[:, 0], 0.0, cov[:, 1]
+
+
+def _bad_row(ell, mean, cov, mode) -> str:
+    """Where a non-finite log-likelihood first appears: its row and that
+    row's head moments.  Built only when the kernel is about to raise."""
+    row = int(np.flatnonzero(~np.isfinite(ell))[0])
+    var = np.diagonal(cov[row]) if mode == FULL else cov[row]
+    parts = [f"m{k + 1}={float(mean[row, k])!r}" for k in range(mean.shape[1])]
+    parts += [f"s{k + 1}{k + 1}={float(var[k])!r}" for k in range(mean.shape[1])]
+    return f" at row {row} ({', '.join(parts)})"
 
 
 # ---------------------------------------------------------------------------
@@ -71,7 +74,9 @@ def _ell2_fwd(mean, cov, y, mode):
     quad = s11 + resid * resid
     ell = -0.5 * (LOG_2PI + m2 + quad * inv_scale)
     if not np.isfinite(ell).all():
-        raise FloatingPointError("non-finite expected log-likelihood")
+        raise FloatingPointError(
+            "non-finite expected log-likelihood" + _bad_row(ell, mean, cov, mode)
+        )
     return ell, (resid, inv_scale, quad, mode, mean.shape)
 
 
@@ -102,7 +107,9 @@ def _ell1_fwd(mean, cov, y, mode):
     resid = y - m1
     ell = -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
     if not np.isfinite(ell).all():
-        raise FloatingPointError("non-finite expected log-likelihood (1-output)")
+        raise FloatingPointError(
+            "non-finite expected log-likelihood (1-output)" + _bad_row(ell, mean, cov, mode)
+        )
     return ell, (resid, var, mode, mean.shape)
 
 
@@ -120,16 +127,21 @@ def _ell1_bwd(ctx, g_ell):
     return g_mean, g_cov
 
 
-def _predictive_batch(mean, cov, head, mode):
-    """Batched moment-matched predictive (means, variances)."""
+def _predictive(m1, s11, m2, s22, head):
+    """Moment-matched predictive (mean, variance) from the head's first unit
+    and its last, the log-variance of a 2-output head: columns of a batch or
+    one head's scalars."""
     if head == HEAD_HETEROSCEDASTIC:
-        m1, m2, s11, _, s22 = _head_parts(mean, cov, mode)
         var = s11 + np.exp(m2 + 0.5 * s22)
     else:
-        m1 = mean[:, 0]
-        s11 = cov[:, 0, 0] if mode == FULL else cov[:, 0]
         var = s11 + VARIANCE_FLOOR
     return m1, np.maximum(var, VARIANCE_FLOOR)
+
+
+def _predictive_batch(mean, cov, head, mode):
+    """Batched moment-matched predictive (means, variances)."""
+    var = _diag(cov) if mode == FULL else cov
+    return _predictive(mean[:, 0], var[:, 0], mean[:, -1], var[:, -1], head)
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +176,9 @@ def predictive_moments(head_mv: MomentVector, head_type: str) -> PredictiveMomen
         _check_head(head_mv, 1, "predictive_moments")
     else:
         raise MomentError(f"unknown head type {head_type!r}")
-    m, v = _predictive_batch(head_mv.mean[None], head_mv.cov[None], head_type, head_mv.mode)
-    return PredictiveMoments(float(m[0]), float(v[0]))
+    mean, var = head_mv.mean, head_mv.variances
+    m, v = _predictive(mean[0], var[0], mean[-1], var[-1], head_type)
+    return PredictiveMoments(float(m), float(v))
 
 
 def nll_metric(pm: PredictiveMoments, y: float) -> float:

@@ -12,7 +12,8 @@ standard normal CDF/PDF, q = Φ(α) the keep probability:
 
 Where σ is below the deterministic floor the rates/gains are constants of
 the input and their derivative terms are zero (the rectifier-limit
-subgradient convention).
+subgradient convention).  A context's `det` is None when no unit is below
+the floor (see `moments`); the adjoints then skip the masks.
 
 Finite differences are kept as a test oracle only; this module is the
 production gradient path.
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +59,17 @@ def single_thread_blas():
     if threadpool_limits is None:
         return contextlib.nullcontext()
     return threadpool_limits(limits=1)
+
+
+def blas_pinned() -> bool:
+    """Whether BLAS runs on one thread inside `single_thread_blas()`: either
+    threadpoolctl is importable, or the environment set OpenBLAS's thread
+    count to 1 (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, as OpenBLAS reads
+    them when it loads)."""
+    if threadpool_limits is not None:
+        return True
+    threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
+    return threads == "1"
 
 
 @dataclass(frozen=True)
@@ -127,11 +140,11 @@ def _dropout_bwd(ctx, g_mean, g_cov, mode):
     in_mean, p = ctx
     q = 1.0 - p
     if g_cov.ndim == 3:
-        g_diag = np.einsum("bii->bi", g_cov)
+        g_diag = moments._diag(g_cov)
         g_mean_in = q * g_mean + g_diag * (2.0 * p * q * in_mean)
         g_var_in = q * g_diag  # a copy: g_diag is a view of g_cov
         g_cov_in = np.multiply(g_cov, q * q, out=g_cov)
-        np.einsum("bii->bi", g_cov_in)[...] = g_var_in
+        moments._diag(g_cov_in, write=True)[...] = g_var_in
     else:
         g_mean_in = q * g_mean + g_cov * (2.0 * p * q * in_mean)
         g_cov_in = q * g_cov
@@ -140,59 +153,65 @@ def _dropout_bwd(ctx, g_mean, g_cov, mode):
 
 def _gate_rate_derivs(mean, var, sigma, det):
     """(∂q/∂μ, ∂q/∂var) for q = Φ(μ/σ); zero in the deterministic limit."""
-    safe_sigma = np.where(det, 1.0, sigma)
-    safe_var = np.where(det, 1.0, var)
-    alpha = mean / safe_sigma
+    if det is not None:
+        # With σ = var = 1 and φ = 0 there, both derivatives are 0.
+        sigma = np.where(det, 1.0, sigma)
+        var = np.where(det, 1.0, var)
+    alpha = mean / sigma
     pdf = _INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha)
-    dq_dmu = np.where(det, 0.0, pdf / safe_sigma)
-    dq_dvar = np.where(det, 0.0, -pdf * alpha / (2.0 * safe_var))
-    return dq_dmu, dq_dvar
+    if det is not None:
+        pdf = np.where(det, 0.0, pdf)
+    return pdf / sigma, -pdf * alpha / (2.0 * var)
 
 
 def _offdiag_gain_adjoint(g_cov, in_cov, gain):
     """dL/d(gain_i) from off-diagonal terms cov'_ij = gain_i gain_j cov_ij;
     g_cov and in_cov symmetric, so the (i, j) and (j, i) terms are equal."""
     rows = np.einsum("bij,bij,bj->bi", g_cov, in_cov, gain)
-    return 2.0 * (rows - np.einsum("bii,bii->bi", g_cov, in_cov) * gain)
+    return 2.0 * (rows - moments._diag(g_cov) * moments._diag(in_cov) * gain)
 
 
 def _mp_gelu_bwd(ctx, g_mean, g_cov, mode):
     mean, var, in_cov, p, q, sigma, det = ctx
     dq_dmu, dq_dvar = _gate_rate_derivs(mean, var, sigma, det)
     full = g_cov.ndim == 3
-    if full:
-        g_diag = np.einsum("bii->bi", g_cov)
-        g_q = _offdiag_gain_adjoint(g_cov, in_cov, q)
-    else:
-        g_diag = g_cov
-        g_q = np.zeros_like(g_cov)
+    g_diag = moments._diag(g_cov) if full else g_cov
     # var' = q·var + (q - q²)·μ²  ⇒  ∂var'/∂q = var + (1 - 2q)·μ²
-    g_q += g_mean * mean + g_diag * (var + (1.0 - 2.0 * q) * mean * mean)
+    g_q = g_mean * mean + g_diag * (var + (1.0 - 2.0 * q) * mean * mean)
+    if full:
+        g_q += _offdiag_gain_adjoint(g_cov, in_cov, q)
     g_mean_in = q * g_mean + g_diag * (2.0 * p * q * mean) + g_q * dq_dmu
     g_var_in = q * g_diag + g_q * dq_dvar
     if full:
-        g_cov_in = moments._scale_offdiag(g_cov, q, g_var_in, g_cov)
+        g_cov_in = moments._scale_gains(g_cov, q, g_cov)
+        moments._diag(g_cov_in, write=True)[...] = g_var_in
     else:
         g_cov_in = g_var_in
     return g_mean_in, g_cov_in
 
 
 def _relu_bwd(ctx, g_mean, g_cov, mode):
-    mean, var, in_cov, sigma, det, cdf, pdf, out_mean = ctx
-    safe_sigma = np.where(det, 1.0, sigma)
-    safe_var = np.where(det, 1.0, var)
-    alpha = mean / safe_sigma
-    dm_dvar = np.where(det, 0.0, pdf / (2.0 * safe_sigma))
-    dv_dmu = 2.0 * out_mean * (1.0 - cdf)
-    dv_dvar = np.where(det, cdf * cdf, cdf - out_mean * pdf / safe_sigma)
+    mean, var, in_cov, sigma, det, cdf, lo, pdf, out_mean = ctx
+    ccdf = np.where(mean < 0.0, 1.0 - lo, lo)  # 1 − Φ(α), lo = Φ(−|α|)
+    if det is not None:
+        # φ is 0 there, so with σ = var = 1 every φ term below is 0 too.
+        sigma = np.where(det, 1.0, sigma)
+        var = np.where(det, 1.0, var)
+        ccdf = np.where(det, 1.0 - cdf, ccdf)
+    dm_dvar = pdf / (2.0 * sigma)
+    dv_dmu = 2.0 * out_mean * ccdf
+    dv_dvar = cdf - out_mean * pdf / sigma
+    if det is not None:
+        dv_dvar = np.where(det, cdf * cdf, dv_dvar)
     if g_cov.ndim == 3:
-        g_diag = np.einsum("bii->bi", g_cov)
+        g_diag = moments._diag(g_cov)
         g_gain = _offdiag_gain_adjoint(g_cov, in_cov, cdf)
-        dgain_dmu = np.where(det, 0.0, pdf / safe_sigma)
-        dgain_dvar = np.where(det, 0.0, -pdf * alpha / (2.0 * safe_var))
+        dgain_dmu = pdf / sigma
+        dgain_dvar = -pdf * (mean / sigma) / (2.0 * var)
         g_mean_in = g_mean * cdf + g_diag * dv_dmu + g_gain * dgain_dmu
         g_var_in = g_mean * dm_dvar + g_diag * dv_dvar + g_gain * dgain_dvar
-        g_cov_in = moments._scale_offdiag(g_cov, cdf, g_var_in, g_cov)
+        g_cov_in = moments._scale_gains(g_cov, cdf, g_cov)
+        moments._diag(g_cov_in, write=True)[...] = g_var_in
     else:
         g_mean_in = g_mean * cdf + g_cov * dv_dmu
         g_cov_in = g_mean * dm_dvar + g_cov * dv_dvar

@@ -17,7 +17,6 @@ from mpbnn import moments as m
 from mpbnn import network as net
 from mpbnn import objective as obj
 from mpbnn import training as tr
-from mpbnn.mc_oracle import mc_expected_ll
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 DATA_DIR = os.path.join(REPO_ROOT, "data")
@@ -83,30 +82,15 @@ class TestCriterion3ExpectedLl:
         """Confirms the log-variance-mean reading of the objective: the
         closed form must track E[log N(y|h1, e^{h2})] within 4 se at 1e6
         samples on 1000 random heads."""
-        base = 11
-        rng = np.random.default_rng(base)
-        samples = 10**6
-        bad = 0
-        worst = 0.0
-        for case in range(1000):
-            mean = rng.uniform(-2.0, 2.0, 2)
-            a = rng.standard_normal((2, 2))
-            cov = a @ a.T * 0.4 + np.eye(2) * 0.05
-            if cov[1, 1] > 1.2:
-                d = np.diag([1.0, np.sqrt(1.2 / cov[1, 1])])
-                cov = d @ cov @ d
-            mv = m.MomentVector(mean, cov, m.FULL)
-            y = rng.uniform(-2.0, 2.0)
-            ell = obj.expected_log_likelihood(mv, y)
-            est, se = mc_expected_ll(mv, y, samples, data.derived_seed(base, case))
-            dev = abs(ell - est) / max(se, 1e-12)
-            worst = max(worst, dev)
-            if dev > 4.0:
-                bad += 1
-        ok = bad == 0
+        worst, failures = cli.objective_oracle(
+            1000, 10**6, np.random.default_rng(11), lambda case: data.derived_seed(11, case),
+            var_cap=1.2,
+        )
+        ok = not failures
         report(3, "objective validation", ok,
-               f"1000 cases at 1e6 samples, worst {worst:.2f} se, {bad} exceed 4 se")
-        assert ok
+               f"1000 cases at 1e6 samples, worst {worst:.2f} se, "
+               f"{len(failures)} exceed 4 se")
+        assert ok, failures[:10]
 
 
 class TestCriterion4Toy:

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpbnn import moments as m
@@ -27,15 +27,25 @@ def random_psd(n, rng, scale=1.0):
 
 class TestMomentVector:
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(m.MomentError):
+        with pytest.raises(m.MomentError, match=r"full covariance must be \(2, 2\), got \(3, 3\)"):
             full_mv([1.0, 2.0], np.zeros((3, 3)))
-        with pytest.raises(m.MomentError):
+        with pytest.raises(m.MomentError, match=r"diag covariance must be \(2,\), got \(3,\)"):
             diag_mv([1.0, 2.0], [1.0, 1.0, 1.0])
+        with pytest.raises(m.MomentError, match=r"got \(0,\)"):
+            diag_mv([1.0, 2.0], np.zeros(0))
+        # The shape is checked before the symmetry.
+        with pytest.raises(m.MomentError, match="must be"):
+            full_mv([1.0, 2.0], np.triu(np.ones((3, 3))))
 
     def test_asymmetric_covariance_rejected(self):
-        cov = np.array([[1.0, 0.5], [0.1, 1.0]])
-        with pytest.raises(m.MomentError):
-            full_mv([0.0, 0.0], cov)
+        for cov in ([[1.0, 0.5], [0.1, 1.0]], [[1.0, 0.1], [0.5, 1.0]],
+                    [[-1.0, 0.5], [0.1, 1.0]]):  # before the variance clamp
+            with pytest.raises(m.MomentError, match="full covariance is not symmetric"):
+                full_mv([0.0, 0.0], cov)
+        # Within SYM_RTOL of the largest |entry| (or of 1) passes.
+        full_mv([0.0, 0.0], [[1e3, 0.5], [0.5 + 1e-7, 1.0]])
+        with pytest.raises(m.MomentError, match="not symmetric"):
+            full_mv([0.0, 0.0], [[1e3, 0.5], [0.5 + 1e-5, 1.0]])
 
     def test_variance_clamp_policy(self):
         """Tiny negatives are symmetrization noise and clamp to zero."""
@@ -58,8 +68,27 @@ class TestMomentVector:
         assert math.copysign(1.0, m._clamp_variances(np.array([-0.0]), "t")[0]) == -1.0
 
     def test_non_finite_rejected(self):
-        with pytest.raises(m.MomentError):
-            diag_mv([np.nan], [1.0])
+        nan_full = np.ones((2, 2))
+        nan_full[0, 1] = nan_full[1, 0] = np.nan
+        for make in (lambda: diag_mv([np.nan], [1.0]),
+                     lambda: diag_mv([0.0, 0.0], [1.0, -np.inf]),  # before the clamp
+                     lambda: diag_mv([np.inf, 0.0], [-1.0, 1.0]),
+                     lambda: full_mv([0.0, 0.0], nan_full),
+                     lambda: full_mv([0.0, 0.0], np.full((3, 3), np.nan))):  # before the shape
+            with pytest.raises(m.MomentError, match="non-finite entries in moments"):
+                make()
+
+    def test_diag_view_writes_through(self):
+        """Contiguous or not, `_diag(write=True)` is a view: writes reach the
+        matrix."""
+        base = np.arange(18.0).reshape(2, 3, 3)
+        for cov in (base.copy(), base.copy().transpose(0, 2, 1), base.copy()[0]):
+            want = np.einsum("...ii->...i", cov).copy()
+            np.testing.assert_array_equal(m._diag(cov), want)
+            d = m._diag(cov, write=True)
+            np.testing.assert_array_equal(d, want)
+            d[...] = -1.0
+            np.testing.assert_array_equal(np.einsum("...ii->...i", cov), -np.ones_like(want))
 
     def test_immutable(self):
         mv = diag_mv([1.0], [1.0])
@@ -219,6 +248,22 @@ class TestReluPropagate:
         np.testing.assert_array_equal(out.mean, [3.0, 0.0, 0.0])
         np.testing.assert_array_equal(out.cov, [1e-26, 0.0, 0.25e-26])
 
+    def test_variance_keeps_its_precision_at_large_ratio(self):
+        """At μ/σ ≥ 1e8 the variance passes through (E[r²] − mean'² gave 0,
+        0 and +22 % here); at moderate μ/σ the value is unchanged."""
+        out = m.relu_propagate(diag_mv([1e3, 1e5, 1e6], [1e-12, 1e-8, 1e-4]))
+        np.testing.assert_allclose(out.cov, [1e-12, 1e-8, 1e-4], rtol=1e-12, atol=0)
+        from scipy.special import ndtr
+
+        mean, var = np.array([0.3, -3.0, 2.0]), np.array([1.0, 0.5, 1.0])
+        sigma = np.sqrt(var)
+        cdf, pdf = ndtr(mean / sigma), np.exp(-0.5 * (mean / sigma) ** 2) / math.sqrt(2 * math.pi)
+        first = mean * cdf + sigma * pdf
+        second = (mean * mean + var) * cdf + mean * sigma * pdf
+        out = m.relu_propagate(diag_mv(mean, var))
+        np.testing.assert_allclose(out.mean, first, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(out.cov, second - first * first, rtol=1e-12, atol=0)
+
     def test_matches_mc_oracle(self):
         mv = diag_mv([0.0], [1.0])
         est = mc_layer_moments(LayerSpec(RELU), mv, 10**6, seed=10)
@@ -273,10 +318,16 @@ class TestPsdPreservation:
         st.integers(0, 10_000),
         st.lists(st.floats(-12.5, 1.0), min_size=4, max_size=4),
         st.lists(st.floats(-60.0, 60.0), min_size=4, max_size=4),
+        # Half the units keep |μ/σ| ≤ 60; the rest stretch it up to 6e10.
+        st.lists(st.one_of(st.just(1.0), st.sampled_from([1e4, 1e8, 1e9])),
+                 min_size=4, max_size=4),
     )
+    @example(seed=0, log_sigma=[0.0] * 4, ratio=[1.0] * 4, stretch=[1e8, 1.0, 1.0, 1.0])
     @settings(max_examples=150, deadline=None)
-    def test_full_mode_gates_and_dropout_stay_symmetric_psd(self, seed, log_sigma, ratio):
-        """σ from just below the floor to 10, |μ/σ| up to 60, correlated units."""
+    def test_full_mode_gates_and_dropout_stay_symmetric_psd(self, seed, log_sigma, ratio,
+                                                            stretch):
+        """σ from just below the floor to 10, |μ/σ| up to 6e10, correlated units."""
+        ratio = np.array(ratio) * np.array(stretch)
         rng = np.random.default_rng(seed)
         sigma = 10.0 ** np.array(log_sigma)
         a = rng.standard_normal((4, 4))

@@ -169,6 +169,18 @@ class TestForward:
         with pytest.raises(m.MomentError):
             net.forward(config, params, np.zeros(4))
 
+    @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_non_finite_weight_rejected(self, arch, mode):
+        """A weight that went NaN after construction (SGD updates in place)
+        reaches the head and is rejected there, whichever layer holds it."""
+        config = net.build_model(arch, 3, 5, 0.1, mode, net.HEAD_HETEROSCEDASTIC)
+        for layer in range(3):
+            params = net.init_parameters(config, 0)
+            params.weights[layer][0, 0] = np.nan
+            with pytest.raises(m.MomentError, match="^non-finite entries in moments$"):
+                net.forward(config, params, np.ones(3))
+
     def test_head_moments_match_sampled_network(self):
         """Gated model head moments vs a 1e5-draw sampled pass, 4 se.
 

@@ -53,6 +53,21 @@ class TestExpectedLogLikelihood:
             est, se = mc_expected_ll(mv, y, 10**5, seed=100 + case)
             assert abs(ell - est) <= 4 * max(se, 1e-12)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_non_finite_value_names_row_and_head_moments(self):
+        """A head log-variance of -800 overflows exp(s22/2 − m2); the raise
+        names the first bad row and its moments in both kernels."""
+        mean = np.array([[0.1, 0.2], [0.5, -800.0], [0.0, -900.0]])
+        var = np.array([[0.3, 0.4], [0.25, 0.5], [0.1, 0.1]])
+        for mode, cov in ((m.DIAG, var), (m.FULL, np.stack([np.diag(v) for v in var]))):
+            with pytest.raises(FloatingPointError, match=r"non-finite expected log-likelihood "
+                               r"at row 1 \(m1=0\.5, m2=-800\.0, s11=0\.25, s22=0\.5\)$"):
+                obj._ell2_fwd(mean, cov, np.zeros(3), mode)
+        with pytest.raises(FloatingPointError, match=r"at row 0 \(m1=0\.0, m2=-800\.0, "):
+            obj.expected_log_likelihood(head2([0.0, -800.0], np.eye(2)), 0.0)
+        with pytest.raises(FloatingPointError, match=r"\(1-output\) at row 2 \(m1=-1e\+200, s11=1\.0\)$"):
+            obj._ell1_fwd(np.array([[0.0], [1.0], [-1e200]]), np.ones((3, 1)), np.zeros(3), m.DIAG)
+
     def test_wrong_head_dim_rejected(self):
         mv = m.MomentVector(np.zeros(1), np.zeros((1, 1)), m.FULL)
         with pytest.raises(m.MomentError):

@@ -144,6 +144,50 @@ class TestLossAndGradients:
             assert calls == Counter({f"_{kind}_fwd": 2}), kind
 
 
+class TestGuardedPaths:
+    """A batch with no unit below SIGMA_FLOOR runs the gates' plain formulas
+    and carries det=None; one such unit anywhere sends the whole batch
+    through the masked ones.  The other rows must not see the difference."""
+
+    @staticmethod
+    def _batch(rng, rows, n, mode, sigma):
+        mean = rng.uniform(-3.0, 3.0, (rows, n)) * sigma
+        mean[0, 0] = 0.0
+        mean[1, :2] = (40.0 * sigma[1, 0], -40.0 * sigma[1, 1])  # both far tails
+        if mode == m.DIAG:
+            return mean, sigma * sigma
+        a = rng.standard_normal((rows, n, n))
+        corr = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n)
+        d = np.sqrt(np.einsum("bii->bi", corr))
+        corr /= d[:, :, None] * d[:, None, :]
+        return mean, corr * sigma[:, :, None] * sigma[:, None, :]
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    @pytest.mark.parametrize("kind", [net.MP_GELU, net.RELU])
+    def test_plain_rows_bit_identical_under_guarded_path(self, kind, mode):
+        rng = np.random.default_rng(17)
+        rows, n = 5, 4
+        sigma = rng.uniform(0.3, 2.0, (rows + 1, n))
+        sigma[rows, 1:3] = (1e-13, 0.0)  # the extra row: units below the floor
+        mean, cov = self._batch(rng, rows + 1, n, mode, sigma)
+        fwd, bwd = getattr(m, f"_{kind}_fwd"), getattr(tr, f"_{kind}_bwd")
+        plain = fwd(mean[:rows].copy(), cov[:rows].copy(), mode)
+        guarded = fwd(mean, cov, mode)
+        assert any(c is None for c in plain[2])  # det
+        assert not any(c is None for c in guarded[2])
+        for a, b in zip(plain[:2], guarded[:2]):
+            np.testing.assert_array_equal(a, b[:rows])
+        g_mean = rng.standard_normal(mean.shape)
+        g_cov = rng.standard_normal(cov.shape)
+        if mode == m.FULL:
+            g_cov = g_cov + g_cov.transpose(0, 2, 1)
+        plain_in = bwd(plain[2], g_mean[:rows].copy(), g_cov[:rows].copy(), mode)
+        guarded_in = bwd(guarded[2], g_mean.copy(), g_cov.copy(), mode)
+        for a, b in zip(plain_in, guarded_in):
+            assert np.isfinite(b).all()
+            np.testing.assert_array_equal(a, b[:rows])
+
+
 class TestStepBufferPool:
     """Full-mode steps lend their (B, n, n) arrays from a per-thread pool."""
 
@@ -198,9 +242,10 @@ class TestStepBufferPool:
         assert m._pool.lent is None  # the raise closed the step
 
         # Outside a step nothing is pooled, so a later step cannot touch
-        # what forward_batch returned.
+        # what forward_batch or forward returned.
         fb_mean, fb_cov = net.forward_batch(*models[net.ARCH_MP_GELU], x)
-        kept = fb_cov.copy()
+        mv = net.forward(*models[net.ARCH_RELU], x[0])
+        kept = fb_cov.copy(), mv.mean.copy(), mv.cov.copy()
         lent = []
         orig_empty = m._empty
 
@@ -214,8 +259,10 @@ class TestStepBufferPool:
             for arch, batch in reversed(order):
                 check(arch, batch)
         assert lent
-        assert not any(np.shares_memory(fb, arr) for fb in (fb_mean, fb_cov) for arr in lent)
-        np.testing.assert_array_equal(fb_cov, kept)
+        returned = (fb_mean, fb_cov, mv.mean, mv.cov)
+        assert not any(np.shares_memory(out, arr) for out in returned for arr in lent)
+        for got, want in zip((fb_cov, mv.mean, mv.cov), kept):
+            np.testing.assert_array_equal(got, want)
 
 
 class TestSgdStep:
