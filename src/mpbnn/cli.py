@@ -71,6 +71,7 @@ class ExperimentResult:
     nll: list
     rmse: list
     runtime_s: float
+    blas_pinned: bool  # see `training.blas_pinned`
     nll_mean: float = 0.0
     nll_se: float = 0.0
     rmse_mean: float = 0.0
@@ -185,8 +186,8 @@ def load_manifest_dataset(manifest: dict, name: str) -> data.Dataset:
 
 def _final_split_worker(args):
     """Train on one split's full training data, return (test NLL, test RMSE)."""
-    (features, labels, train_idx, test_idx, std_fields, arch, mode, head, width,
-     rate, tc_fields, run_seed) = args
+    (name, split_i, features, labels, train_idx, test_idx, std_fields, arch, mode, head,
+     width, rate, tc_fields, run_seed) = args
     std = data.Standardizer(*std_fields)
     x_tr = std.transform_features(features[train_idx])
     y_tr = std.transform_labels(labels[train_idx])
@@ -194,7 +195,12 @@ def _final_split_worker(args):
     y_te = std.transform_labels(labels[test_idx])
     config = network.build_model(arch, x_tr.shape[1], width, rate, mode, head)
     tc = training.TrainConfig(**{**tc_fields, "seed": run_seed})
-    params, _ = training.train(config, tc, x_tr, y_tr)
+    try:
+        params, _ = training.train(config, tc, x_tr, y_tr)
+    except training.DIVERGENCE_ERRORS as exc:
+        where = (f"dataset {name!r}, {arch} {mode}, dropout rate {rate}, "
+                 f"final split {split_i}")
+        raise training.with_context(exc, where) from exc
     res = training.evaluate_model(config, params, x_te, y_te)
     return res["nll"], res["rmse"], [w.tolist() for w in params.weights], [
         b.tolist() for b in params.biases
@@ -245,7 +251,7 @@ def run_uci_protocol(ds: data.Dataset, arch: str, mode: str, head: str, seed: in
         std = split.standardizer
         tasks.append(
             (
-                ds.features, ds.labels, split.train_val_idx, split.test_idx,
+                ds.name, si, ds.features, ds.labels, split.train_val_idx, split.test_idx,
                 (std.feature_mean, std.feature_std, std.label_mean, std.label_std),
                 arch, mode, head, width, rate, tc_fields,
                 data.derived_seed(seed, 2, si),
@@ -265,7 +271,8 @@ def run_uci_protocol(ds: data.Dataset, arch: str, mode: str, head: str, seed: in
     x_test = std0.transform_features(ds.features[splits[0].test_idx])
     runtime = _time_test_pass(config, params, x_test)
     return ExperimentResult(
-        ds.name, ds.n, ds.q, arch, mode, head, rate, seed, nll, rmse, runtime
+        ds.name, ds.n, ds.q, arch, mode, head, rate, seed, nll, rmse, runtime,
+        training.blas_pinned(),
     )
 
 
@@ -392,8 +399,8 @@ def layer_oracle(kind: str, mode: str, cases: int, samples: int, rng, mc_seed):
         wb = None
         if kind == network.DENSE:
             wb = (rng.standard_normal((3, n)), rng.standard_normal(3))
-        out_mean, out_cov, _ = network._FWD[kind](layer, mv.mean[None], mv.cov[None], wb, mode)
-        out = moments.MomentVector(out_mean[0], out_cov[0], mode)
+        out_mean, out_cov, _ = network._FWD[kind](layer, *moments._as_batch(mv), wb, mode)
+        out = moments._from_batch(out_mean, out_cov, mode)
         kw = {} if wb is None else {"weights": wb[0], "bias": wb[1]}
         est = mc_oracle.mc_layer_moments(layer, mv, samples, mc_seed(case), **kw)
         devs = [("mean", np.abs(out.mean - est.mean)
@@ -615,6 +622,10 @@ def main(argv=None) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
+    if args.command in ("toy", "uci") and not training.blas_pinned():
+        print("warning: BLAS is not pinned to one thread (threadpoolctl is not installed "
+              "and OPENBLAS_NUM_THREADS / OMP_NUM_THREADS is not 1); run times may "
+              "vary with the thread count", file=sys.stderr)
     try:
         if args.command == "toy":
             written = cmd_toy(

@@ -217,8 +217,8 @@ def derived_seed(base: int, *tags) -> int:
 
 def _grid_point(args):
     """Train on the train portion at one rate, return validation NLL."""
-    (features, labels, train_idx, val_idx, arch, mode, head, width, rate, tc_fields,
-     run_seed) = args
+    (name, split_i, features, labels, train_idx, val_idx, arch, mode, head, width, rate,
+     tc_fields, run_seed) = args
     std = Standardizer.fit(features[train_idx], labels[train_idx])
     x_tr = std.transform_features(features[train_idx])
     y_tr = std.transform_labels(labels[train_idx])
@@ -226,7 +226,12 @@ def _grid_point(args):
     y_val = std.transform_labels(labels[val_idx])
     config = network.build_model(arch, x_tr.shape[1], width, rate, mode, head)
     tc = training.TrainConfig(**{**tc_fields, "seed": run_seed})
-    params, _ = training.train(config, tc, x_tr, y_tr)
+    try:
+        params, _ = training.train(config, tc, x_tr, y_tr)
+    except training.DIVERGENCE_ERRORS as exc:
+        where = (f"dataset {name!r}, {arch} {mode}, dropout rate {rate}, "
+                 f"grid-search split {split_i}")
+        raise training.with_context(exc, where) from exc
     return training.evaluate_model(config, params, x_val, y_val)["nll"]
 
 
@@ -269,6 +274,8 @@ def grid_search_dropout(
         for si, split in enumerate(splits):
             tasks.append(
                 (
+                    ds.name,
+                    si,
                     ds.features,
                     ds.labels,
                     split.train_idx,

@@ -88,7 +88,7 @@ def _sample_layer(layer: LayerSpec, draws, rng, mean, var, wb):
         keep = rng.random(draws.shape) < (1.0 - layer.rate)
         return draws * keep
     if layer.kind == MP_GELU:
-        rates, _, _ = _gate_rates(mean, var, "mc oracle")
+        rates, _, _, _ = _gate_rates(mean, var, "mc oracle")
         keep = rng.random(draws.shape) < (1.0 - rates[0])
         return draws * keep
     if layer.kind == RELU:

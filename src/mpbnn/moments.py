@@ -14,20 +14,31 @@ dense kernel reads the mode; every other kernel picks its formula from the
 covariance's shape.
 
 The public operations work on single examples wrapped in `MomentVector`.
-Internally every formula is implemented once, in batched kernels operating
-on arrays with a leading batch axis; training and the experiment runner
-call the kernels directly for speed.
+Internally every formula is implemented once, in batched kernels; training
+and the experiment runner call the kernels directly for speed.
 
-Buffer rule: the full-mode (B, n, n) and (B, m, n) kernel outputs come from
+Layout rule: inside the kernels a mean is (B, n) and a diag-mode covariance
+(B, n), but a full covariance is batch-last, a C-contiguous (n, n, B)
+array.  Then W Σ is one flat GEMM over (n, n·B), (W Σ) Wᵀ is a matmul over
+a leading axis of length m, and the gain scaling of the gates runs with B
+as the contiguous inner axis.  `_diag` gives the diagonals of such an array
+as a (B, n) view, in the layout of the mean, so the per-unit formulas are
+the same in both modes.  `forward_batch` and the public operations keep the
+(B, n, n) and (n, n) layouts of their callers.
+
+Buffer rule: the full-mode kernel outputs and scratch arrays come from
 `_empty`.  Outside a training step that is plain `np.empty`, so
 `forward_batch`, the public operations and the MC oracle never return pooled
 memory.  Inside a step (`_open_step` ... `_close_step`, opened only by
 `training.loss_and_gradients`) `_empty` lends a buffer from a per-thread
 pool that outlives the step, so a warm step allocates and page-faults
-nothing; every lent buffer returns to the pool when the step closes, and
-`_release` returns one earlier once nothing reads it any more.  The pool
-holds, for the life of its thread, about the memory of the largest step
-that thread ran.
+nothing.  The pool keeps flat buffers by the shape's leading axes and
+lends the contiguous prefix of one that is at least as long, reshaped: a
+batch-last array stays C-contiguous whatever its B, so the kernels' flat
+reshapes stay views.  Every lent buffer returns to the pool when the step
+closes, and `_release` returns one earlier once nothing reads it any more.
+The pool holds, for the life of its thread, about the memory of the
+largest step that thread ran.
 
 Guard rule: the gates decide both the clamp of their input variances and
 whether any unit's σ is below `SIGMA_FLOOR` from one `min` (sqrt is
@@ -145,21 +156,20 @@ def _floor_guard(var: np.ndarray, where: str):
 
 
 def _diag(a: np.ndarray, write: bool = False) -> np.ndarray:
-    """View of the diagonals of the trailing (n, n) axes of `a`: read-only
-    (numpy's `diagonal`, the cheapest), or with `write` a writable one.
+    """View of the diagonals of the leading (n, n) axes of `a`, with any
+    trailing batch axis first: (B, n) for a batch-last (n, n, B) covariance,
+    (n,) for one matrix.  Read-only (numpy's `diagonal`, the cheapest), or
+    with `write` a writable one.
 
     The writable view of a C-contiguous array is a strided view of its
     flattened matrices.  Any other array falls back to `einsum`: reshaping
     it would copy, and writes to the copy would be lost."""
     if not write:
-        return a.diagonal(0, -2, -1)
+        return a.diagonal(0, 0, 1)
     if a.flags.c_contiguous:
-        n = a.shape[-1]
-        if a.ndim == 3:
-            return a.reshape(a.shape[0], n * n)[:, :: n + 1]
-        if a.ndim == 2:
-            return a.reshape(n * n)[:: n + 1]
-    return np.einsum("...ii->...i", a)
+        n = a.shape[0]
+        return a.reshape(n * n, *a.shape[2:])[:: n + 1].T
+    return np.einsum("ii...->...i", a)
 
 
 def _clamp_diag_inplace(cov: np.ndarray, where: str) -> np.ndarray:
@@ -247,8 +257,8 @@ class _StepPool(threading.local):
     """The calling thread's full-mode step buffers, kept across steps."""
 
     def __init__(self):
-        self.spare = {}  # trailing shape -> buffers free to lend
-        self.lent = None  # id -> buffer lent in the open step; None outside
+        self.spare = {}  # leading shape -> flat buffers free to lend
+        self.lent = None  # id -> (leading shape, buffer) lent in the open step
 
 
 _pool = _StepPool()
@@ -260,24 +270,24 @@ def _open_step() -> None:
 
 def _close_step() -> None:
     """Return every buffer lent in the step to the pool."""
-    for buf in _pool.lent.values():
-        _pool.spare.setdefault(buf.shape[1:], []).append(buf)
+    for key, buf in _pool.lent.values():
+        _pool.spare.setdefault(key, []).append(buf)
     _pool.lent = None
 
 
 def _empty(shape) -> np.ndarray:
-    """`np.empty(shape)`, or inside a step a `[:B]` view of a pooled buffer
-    with the same trailing shape and at least B rows."""
+    """`np.empty(shape)`, or inside a step the contiguous prefix of a pooled
+    flat buffer kept for the same leading shape, reshaped to `shape`."""
     lent = _pool.lent
     if lent is None:
         return np.empty(shape)
-    rows = shape[0]
-    free = _pool.spare.get(shape[1:])
+    key, size = shape[:-1], math.prod(shape)
+    free = _pool.spare.get(key)
     buf = free.pop() if free else None
-    if buf is None or buf.shape[0] < rows:
-        buf = np.empty(shape)  # a too-small spare is dropped, not kept
-    lent[id(buf)] = buf
-    return buf[:rows]
+    if buf is None or buf.size < size:
+        buf = np.empty(size)  # a too-small spare is dropped, not kept
+    lent[id(buf)] = (key, buf)
+    return buf[:size].reshape(shape)
 
 
 def _release(arr: np.ndarray) -> None:
@@ -285,13 +295,13 @@ def _release(arr: np.ndarray) -> None:
     `arr` afterwards.  A no-op for memory the step did not lend."""
     lent = _pool.lent
     if lent is not None:
-        buf = lent.pop(id(arr.base), None)
-        if buf is not None:
-            _pool.spare.setdefault(buf.shape[1:], []).append(buf)
+        entry = lent.pop(id(arr.base), None)
+        if entry is not None:
+            _pool.spare.setdefault(entry[0], []).append(entry[1])
 
 
 # ---------------------------------------------------------------------------
-# Batched kernels.  mean: (B, n); cov: (B, n, n) in full mode, (B, n) in diag
+# Batched kernels.  mean: (B, n); cov: (n, n, B) in full mode, (B, n) in diag
 # mode and in full mode below the first dense layer.
 # Each returns (out_mean, out_cov, ctx); ctx carries what backward needs.
 # ---------------------------------------------------------------------------
@@ -302,19 +312,19 @@ def _dense_fwd(mean, cov, w, b, mode):
     # dispatch, which is most of the cost on one row.
     out_mean = np.dot(mean, w.T) + b
     if mode == FULL:
-        # W Σ Wᵀ as (W Σ) Wᵀ, the second product one flat GEMM; W Σ is kept
-        # for the backward pass.  A diagonal Σ = diag(v) gives W Σ = W ∘ v.
+        # W Σ Wᵀ as (W Σ) Wᵀ: W Σ is one flat GEMM over (n, n·B), or W ∘ v
+        # for a diagonal Σ = diag(v); then m GEMMs of (m, n)(n, B).
         m, n = w.shape
         batch = mean.shape[0]
-        wsig = _empty((batch, m, n))
+        wsig = _empty((m, n, batch))
         if cov.ndim == 2:
-            np.multiply(w, cov[:, None, :], out=wsig)
+            np.multiply(w[:, :, None], cov.T, out=wsig)
         else:
-            np.matmul(w, cov, out=wsig)
-        out_cov = _empty((batch, m, m))
-        np.matmul(wsig.reshape(-1, n), w.T, out=out_cov.reshape(-1, m))
+            np.dot(w, cov.reshape(n, n * batch), out=wsig.reshape(m, n * batch))
+        out_cov = np.matmul(w, wsig, out=_empty((m, m, batch)))
+        _release(wsig)
         _clamp_diag_inplace(out_cov, "dense_propagate")
-        return out_mean, out_cov, (mean, w, wsig)
+        return out_mean, out_cov, (mean, w, cov)
     out_cov = np.dot(cov, (w * w).T)
     out_cov = _clamp_variances(out_cov, "dense_propagate")
     return out_mean, out_cov, (mean, w, cov)
@@ -322,9 +332,10 @@ def _dense_fwd(mean, cov, w, b, mode):
 
 def _scale_gains(cov, gain, out):
     """Writes gain_i gain_j cov_ij into `out`, which may be `cov`; the gates
-    and their adjoints then set the diagonal."""
-    np.multiply(cov, gain[:, :, None], out=out)
-    out *= gain[:, None, :]
+    and their adjoints then set the diagonal.  `gain` is (B, n)."""
+    gain = np.ascontiguousarray(gain.T)
+    np.multiply(cov, gain[:, None, :], out=out)
+    out *= gain[None, :, :]
     return out
 
 
@@ -344,21 +355,22 @@ def _dropout_fwd(mean, cov, rate, mode):
 def _gate_rates(mean, var, where):
     """Drop probability Φ(−μ/σ) per unit, with the σ→0 sign limit.
 
-    Returns (p, sigma, det); det as from `_floor_guard`."""
+    Returns (p, var, sigma, det): var clamped, and sigma and det as from
+    `_floor_guard`."""
     var, sigma, det = _floor_guard(var, where)
     if det is None:
-        return _norm_cdf(-mean / sigma), sigma, None
+        return _norm_cdf(-mean / sigma), var, sigma, None
     p = _norm_cdf(-mean / np.where(det, 1.0, sigma))
     limit = np.where(mean > 0.0, 0.0, np.where(mean < 0.0, 1.0, 0.5))
-    return np.where(det, limit, p), sigma, det
+    return np.where(det, limit, p), var, sigma, det
 
 
 def _mp_gelu_fwd(mean, cov, mode):
-    var = _diag(cov) if cov.ndim == 3 else cov
-    p, sigma, det = _gate_rates(mean, var, "mp_gelu_propagate")
+    full = cov.ndim == 3
+    p, var, sigma, det = _gate_rates(mean, _diag(cov) if full else cov, "mp_gelu_propagate")
     q = 1.0 - p
     out_mean = q * mean
-    if cov.ndim == 3:
+    if full:
         out_cov = _scale_gains(cov, q, _empty(cov.shape))
         out_var = np.multiply(q, var, out=_diag(out_cov, write=True))
     else:
@@ -407,6 +419,16 @@ def _relu_fwd(mean, cov, mode):
 # ---------------------------------------------------------------------------
 
 
+def _as_batch(mv: MomentVector):
+    """`mv` as a batch of one in the kernels' layout: (mean, cov)."""
+    return mv.mean[None], (mv.cov[..., None] if mv.mode == FULL else mv.cov[None])
+
+
+def _from_batch(out_mean, out_cov, mode: str) -> MomentVector:
+    """The only row of a kernel's batched output."""
+    return MomentVector(out_mean[0], out_cov[..., 0] if mode == FULL else out_cov[0], mode)
+
+
 def lift_deterministic(x, mode: str = FULL) -> MomentVector:
     """Wrap a deterministic feature vector as a zero-covariance MomentVector."""
     x = np.asarray(x, dtype=float)
@@ -432,8 +454,8 @@ def dense_propagate(mv: MomentVector, weights, bias) -> MomentVector:
         raise MomentError(f"weight shape {w.shape} does not accept input of dim {mv.dim}")
     if b.shape != (w.shape[0],):
         raise MomentError(f"bias shape {b.shape} does not match output dim {w.shape[0]}")
-    out_mean, out_cov, _ = _dense_fwd(mv.mean[None], mv.cov[None], w, b, mv.mode)
-    return MomentVector(out_mean[0], out_cov[0], mv.mode)
+    out_mean, out_cov, _ = _dense_fwd(*_as_batch(mv), w, b, mv.mode)
+    return _from_batch(out_mean, out_cov, mv.mode)
 
 
 def dropout_propagate(mv: MomentVector, rate: float) -> MomentVector:
@@ -445,8 +467,8 @@ def dropout_propagate(mv: MomentVector, rate: float) -> MomentVector:
     """
     if not (0.0 <= rate <= 1.0):
         raise MomentError(f"dropout rate {rate} outside [0, 1]")
-    out_mean, out_cov, _ = _dropout_fwd(mv.mean[None], mv.cov[None], rate, mv.mode)
-    return MomentVector(out_mean[0], out_cov[0], mv.mode)
+    out_mean, out_cov, _ = _dropout_fwd(*_as_batch(mv), rate, mv.mode)
+    return _from_batch(out_mean, out_cov, mv.mode)
 
 
 def mp_gelu_rates(mv: MomentVector) -> GateRates:
@@ -455,7 +477,7 @@ def mp_gelu_rates(mv: MomentVector) -> GateRates:
     For σ_i below 1e-12 the deterministic limit applies: 1 for negative
     mean, 0 for positive, 0.5 at exactly zero.
     """
-    p, _, _ = _gate_rates(mv.mean[None], np.atleast_2d(mv.variances), "mp_gelu_rates")
+    p, _, _, _ = _gate_rates(mv.mean[None], np.atleast_2d(mv.variances), "mp_gelu_rates")
     return GateRates(p[0])
 
 
@@ -467,8 +489,8 @@ def mp_gelu_propagate(mv: MomentVector) -> MomentVector:
     mean'_i = q_i μ_i, var'_i = q_i var_i + p_i q_i μ_i², and full-mode
     Cov'_ij = q_i q_j Cov_ij for i ≠ j.
     """
-    out_mean, out_cov, _ = _mp_gelu_fwd(mv.mean[None], mv.cov[None], mv.mode)
-    return MomentVector(out_mean[0], out_cov[0], mv.mode)
+    out_mean, out_cov, _ = _mp_gelu_fwd(*_as_batch(mv), mv.mode)
+    return _from_batch(out_mean, out_cov, mv.mode)
 
 
 def relu_propagate(mv: MomentVector) -> MomentVector:
@@ -482,5 +504,5 @@ def relu_propagate(mv: MomentVector) -> MomentVector:
     use the first-order gain product Cov'_ij = Φ(α_i) Φ(α_j) Cov_ij, which
     is exact to first order in Cov_ij.
     """
-    out_mean, out_cov, _ = _relu_fwd(mv.mean[None], mv.cov[None], mv.mode)
-    return MomentVector(out_mean[0], out_cov[0], mv.mode)
+    out_mean, out_cov, _ = _relu_fwd(*_as_batch(mv), mv.mode)
+    return _from_batch(out_mean, out_cov, mv.mode)

@@ -215,10 +215,12 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     `tape` list, every layer from the first dense layer up appends
     (layer index, kind, index of the latest dense layer, ctx) for the
     backward pass; layers below it have no parameters and nothing above
-    depends on their adjoints.  Also only then, a full-mode dense or dropout
-    layer's input covariance goes back to the step's buffer pool once the
-    layer has run: their contexts keep none of it, the gates' keep theirs.
-    (Diag-mode arrays are not pooled, so that release is a no-op there.)
+    depends on their adjoints.  Also only then, a full-mode dropout layer's
+    input covariance goes back to the step's buffer pool once the layer has
+    run: its context keeps none of it, while the dense and gate contexts
+    keep theirs.  (Diag-mode arrays are not pooled, so that release is a
+    no-op there.)  A full-mode covariance comes back batch-last (see
+    `moments`).
     """
     mode = config.covariance_mode
     mean = xs
@@ -233,7 +235,7 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
         cov_in = cov
         mean, cov, ctx = _FWD[kind](layer, mean, cov, wb, mode)
         if tape is not None:
-            if kind in (DENSE, DROPOUT):
+            if kind == DROPOUT:
                 moments._release(cov_in)
             if dense_i:
                 tape.append((layer_i, kind, dense_i - 1, ctx))
@@ -252,7 +254,8 @@ def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
         raise MomentError(f"input batch must be (B, {config.input_dim}), got {xs.shape}")
     if not moments._all(np.isfinite(xs), axis=None):
         raise MomentError("non-finite entries in input batch")
-    return _run_layers(config, params, xs)
+    mean, cov = _run_layers(config, params, xs)
+    return mean, (cov.transpose(2, 0, 1) if config.covariance_mode == FULL else cov)
 
 
 def forward(config: ModelConfig, params: ParameterSet, x) -> MomentVector:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FULL, MomentError, MomentVector, _diag
+from .moments import FULL, MomentError, MomentVector
 from .network import HEAD_HETEROSCEDASTIC, HEAD_HOMOSCEDASTIC
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -139,8 +139,9 @@ def _predictive(m1, s11, m2, s22, head):
 
 
 def _predictive_batch(mean, cov, head, mode):
-    """Batched moment-matched predictive (means, variances)."""
-    var = _diag(cov) if mode == FULL else cov
+    """Batched moment-matched predictive (means, variances) from the
+    (B, h) means and (B, h, h) or (B, h) covariances of `forward_batch`."""
+    var = cov.diagonal(0, 1, 2) if mode == FULL else cov
     return _predictive(mean[:, 0], var[:, 0], mean[:, -1], var[:, -1], head)
 
 

@@ -72,6 +72,16 @@ def blas_pinned() -> bool:
     return threads == "1"
 
 
+# What a diverging run raises: a non-finite loss or gradient, or a negative
+# variance.
+DIVERGENCE_ERRORS = (FloatingPointError, moments.MomentError)
+
+
+def with_context(exc: Exception, where: str) -> Exception:
+    """A new exception of `exc`'s type whose message ends with `where`."""
+    return type(exc)(f"{exc}; {where}")
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     learning_rate: float
@@ -98,13 +108,21 @@ class GradientSet:
 
 # ---------------------------------------------------------------------------
 # Per-layer backward kernels.  Adjoint conventions: g_mean is dL/d(mean) with
-# shape (B, n); g_cov is dL/d(cov), shaped like the forward covariance.  A
-# full covariance is a symmetric matrix, and its adjoint is taken as one too:
-# a symmetric g_cov with dL = Σ_ij g_ij dΣ_ij for every symmetric dΣ, so a
-# term that reads Σ_ij (i ≠ j) splits its derivative evenly over g_ij and
-# g_ji.  Every kernel maps a symmetric g_cov to a symmetric one.  Nothing
-# else holds a g_cov once it is passed down, so the gate and dropout adjoints
-# may overwrite it with their full-mode result.
+# shape (B, n); g_cov is dL/d(cov), shaped like the forward covariance, so a
+# full one is batch-last (n, n, B) (see `moments`).  A full covariance is a
+# symmetric matrix, and its adjoint is taken as one too: a symmetric g_cov
+# with dL = Σ_ij g_ij dΣ_ij for every symmetric dΣ, so a term that reads
+# Σ_ij (i ≠ j) splits its derivative evenly over g_ij and g_ji.  Every
+# kernel maps a symmetric g_cov to a symmetric one.  Nothing else holds a
+# g_cov once it is passed down, so the gate and dropout adjoints may
+# overwrite it with their full-mode result.
+#
+# The dense adjoint of Σ' = W Σ Wᵀ, per batch entry, with H = g W (m × n):
+#     g_Σ = Wᵀ g W = Wᵀ H,   g_W = 2 g W Σ = 2 H Σ   (g and Σ symmetric).
+# Batch-last, H is matmul(Wᵀ, g) over g's leading axis, m GEMMs of
+# (n, m)(m, B) into an (m, n, B) array, and both products are flat GEMMs
+# over (·, n·B), g_W's summing over the batch too.  So the tape keeps the
+# layer's input Σ, not W Σ.
 # ---------------------------------------------------------------------------
 
 
@@ -112,28 +130,29 @@ def _dense_bwd(ctx, g_mean, g_cov, mode, input_grad=True):
     """Parameter adjoints and, unless `input_grad` is false, input adjoints
     (returned as None otherwise: nothing uses them below the first dense
     layer, which is also the only place a full-mode input is diagonal)."""
-    in_mean, w, aux = ctx
+    in_mean, w, in_cov = ctx
     g_b = g_mean.sum(axis=0)
     g_w = g_mean.T @ in_mean
     m, n = w.shape
-    if mode == FULL:
-        # aux is W Σ.  ∂/∂W Σ_kl g_kl (W Σ Wᵀ)_kl = 2 g W Σ for symmetric g,
-        # summed over the batch as one flat GEMM.
-        g_w += 2.0 * (g_cov.reshape(-1, m).T @ aux.reshape(-1, n))
+    if mode != FULL:
+        # in_cov is the input variance vector.
+        g_w += 2.0 * w * (g_cov.T @ in_cov)
+        if not input_grad:
+            return None, None, g_w, g_b
+        return g_mean @ w, g_cov @ (w * w), g_w, g_b
+    batch = g_mean.shape[0]
+    h = np.matmul(w.T, g_cov, out=moments._empty((m, n, batch)))
+    h_flat = h.reshape(m, n * batch)
+    if in_cov.ndim == 2:
+        # Σ = diag(v): (H Σ)_ki = H_ki v_i, summed over the batch.
+        g_w += 2.0 * np.einsum("kib,bi->ki", h, in_cov)
     else:
-        # aux is the input variance vector.
-        g_w += 2.0 * w * (g_cov.T @ aux)
+        g_w += 2.0 * np.dot(h_flat, in_cov.reshape(n, n * batch).T)
     if not input_grad:
         return None, None, g_w, g_b
-    g_mean_in = g_mean @ w
-    if mode == FULL:
-        batch = g_mean.shape[0]
-        gw = moments._empty((batch, m, n))
-        np.matmul(g_cov.reshape(-1, m), w, out=gw.reshape(-1, n))
-        g_cov_in = np.matmul(w.T, gw, out=moments._empty((batch, n, n)))
-    else:
-        g_cov_in = g_cov @ (w * w)
-    return g_mean_in, g_cov_in, g_w, g_b
+    g_cov_in = moments._empty((n, n, batch))
+    np.dot(w.T, h_flat, out=g_cov_in.reshape(n, n * batch))
+    return g_mean @ w, g_cov_in, g_w, g_b
 
 
 def _dropout_bwd(ctx, g_mean, g_cov, mode):
@@ -166,8 +185,9 @@ def _gate_rate_derivs(mean, var, sigma, det):
 
 def _offdiag_gain_adjoint(g_cov, in_cov, gain):
     """dL/d(gain_i) from off-diagonal terms cov'_ij = gain_i gain_j cov_ij;
-    g_cov and in_cov symmetric, so the (i, j) and (j, i) terms are equal."""
-    rows = np.einsum("bij,bij,bj->bi", g_cov, in_cov, gain)
+    g_cov and in_cov symmetric, so the (i, j) and (j, i) terms are equal.
+    Summed with the batch axis innermost; `gain` and the result are (B, n)."""
+    rows = np.einsum("ijb,ijb,jb->bi", g_cov, in_cov, np.ascontiguousarray(gain.T))
     return 2.0 * (rows - moments._diag(g_cov) * moments._diag(in_cov) * gain)
 
 
@@ -249,17 +269,22 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
     mode = config.covariance_mode
     batch = xs.shape[0]
 
-    # Full-mode (B, n, n) arrays come from the thread's buffer pool while the
-    # step is open; nothing returned below refers to them.
+    # Full-mode (n, n, B) arrays come from the thread's buffer pool while the
+    # step is open; nothing returned below refers to them.  The objective
+    # kernels take the head's covariance as (B, h, h), so it is transposed
+    # in and its adjoint out.
     moments._open_step()
     try:
         mean, cov, tape = _forward_tape(config, params, xs)
+        head_cov = cov.transpose(2, 0, 1) if mode == FULL else cov
         if config.head == HEAD_HETEROSCEDASTIC:
-            ell, octx = objective._ell2_fwd(mean, cov, ys, mode)
+            ell, octx = objective._ell2_fwd(mean, head_cov, ys, mode)
             g_mean, g_cov = objective._ell2_bwd(octx, np.full(batch, -1.0 / batch))
         else:
-            ell, octx = objective._ell1_fwd(mean, cov, ys, mode)
+            ell, octx = objective._ell1_fwd(mean, head_cov, ys, mode)
             g_mean, g_cov = objective._ell1_bwd(octx, np.full(batch, -1.0 / batch))
+        if mode == FULL:
+            g_cov = np.ascontiguousarray(g_cov.transpose(1, 2, 0))
         loss = -float(np.mean(ell))
         if not math.isfinite(loss):
             raise FloatingPointError("non-finite training loss")
@@ -299,7 +324,9 @@ def train(config: ModelConfig, train_config: TrainConfig, xs, ys, params=None):
 
     Shuffling is a fresh full permutation per epoch; the last batch may be
     short.  Returns (params, per-epoch mean loss trace).  When `params` is
-    None they are initialized from the training seed.
+    None they are initialized from the training seed.  A diverging step's
+    error is raised again with its epoch and the batch's start in the
+    permutation.
     """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
@@ -313,12 +340,15 @@ def train(config: ModelConfig, train_config: TrainConfig, xs, ys, params=None):
     bs = train_config.batch_size
     trace = []
     with single_thread_blas():
-        for _ in range(train_config.epochs):
+        for epoch in range(train_config.epochs):
             perm = rng.permutation(n)
             total = 0.0
             for start in range(0, n, bs):
                 idx = perm[start : start + bs]
-                loss, grads = loss_and_gradients(config, params, xs[idx], ys[idx])
+                try:
+                    loss, grads = loss_and_gradients(config, params, xs[idx], ys[idx])
+                except DIVERGENCE_ERRORS as exc:
+                    raise with_context(exc, f"epoch {epoch}, batch start {start}") from exc
                 sgd_step(params, grads, train_config.learning_rate)
                 total += loss * idx.size
             trace.append(total / n)

@@ -2,11 +2,12 @@
 
 import json
 import os
+import re
 
 import numpy as np
 import pytest
 
-from mpbnn import cli, data
+from mpbnn import cli, data, training
 from mpbnn import moments as m
 from mpbnn import mc_oracle
 
@@ -69,9 +70,38 @@ class TestUciCommand:
         tag = "synth_mp_gelu_full_heteroscedastic2"
         doc = json.loads((tmp_path / "out" / f"uci_{tag}.json").read_text())
         assert doc["dataset"] == "synth" and doc["n"] == 90 and doc["q"] == 2
+        assert doc["blas_pinned"] is training.blas_pinned()
         csv_lines = (tmp_path / "out" / f"uci_{tag}.csv").read_text().splitlines()
         assert csv_lines[0] == "dataset,n,q,nll_mean,nll_se,rmse_mean,rmse_se,runtime_s"
         assert len(csv_lines) == 2
+
+    @pytest.mark.parametrize("dropout, poisoned_call, where", [
+        # 65 grid-search training rows: batches at 0, 32 and 64, so 6 gate
+        # adjoints per epoch; call 9 is epoch 1, batch start 32, layer 4.
+        (None, 9, "dataset 'synth', mp_gelu diag, dropout rate 0.005, grid-search split 0"),
+        # 81 final training rows, 2 epochs per split: call 21 is split 1's.
+        (0.01, 21, "dataset 'synth', mp_gelu diag, dropout rate 0.01, final split 1"),
+    ])
+    def test_diverging_split_names_its_context(self, monkeypatch, dropout, poisoned_call,
+                                               where):
+        rng = np.random.default_rng(2)
+        ds = data.Dataset(rng.standard_normal((90, 2)), rng.standard_normal(90), "synth")
+        calls = []
+        orig = training._mp_gelu_bwd
+
+        def poisoned(ctx, g_mean, g_cov, mode):
+            calls.append(None)
+            g_mean_in, g_cov_in = orig(ctx, g_mean, g_cov, mode)
+            if len(calls) == poisoned_call:
+                g_mean_in = np.full_like(g_mean_in, np.nan)
+            return g_mean_in, g_cov_in
+
+        monkeypatch.setattr(training, "_mp_gelu_bwd", poisoned)
+        message = f"non-finite gradient in layer 4 (mp_gelu); epoch 1, batch start 32; {where}"
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            cli.run_uci_protocol(ds, "mp_gelu", m.DIAG, "heteroscedastic2", jobs=1,
+                                 repeats=2, epochs=2, batch=32, dropout=dropout)
+        assert len(calls) == poisoned_call
 
     def test_shape_mismatch_is_hard_error(self, tmp_path):
         manifest = write_synth_dataset(tmp_path)
@@ -149,8 +179,8 @@ class TestCheckCommand:
             if mode == m.DIAG:
                 out_cov = out_cov * 1.5
             else:
-                out_cov = out_cov.copy()
-                np.einsum("bii->bi", out_cov)[...] *= 1.5
+                out_cov = out_cov.copy()  # batch-last (n, n, B)
+                np.einsum("ii...->...i", out_cov)[...] *= 1.5
             return out_mean, out_cov, ctx
 
         monkeypatch.setattr(m, "_mp_gelu_fwd", corrupted)
@@ -218,6 +248,16 @@ class TestMainWiring:
         )
         assert code == 0
         assert (out1 / "toy_relu.csv").read_bytes() == (out2 / "toy_relu.csv").read_bytes()
+
+    def test_unpinned_blas_warns_once(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training, "threadpool_limits", None)
+        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
+            monkeypatch.delenv(var, raising=False)
+        assert cli.main(["toy", "--out", str(tmp_path), "--epochs", "1"]) == 0
+        assert capsys.readouterr().err.count("warning: BLAS is not pinned") == 1
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        assert cli.main(["toy", "--out", str(tmp_path), "--epochs", "1"]) == 0
+        assert "warning" not in capsys.readouterr().err
 
     def test_error_exit_code(self, tmp_path):
         code = cli.main(

@@ -80,15 +80,17 @@ class TestMomentVector:
 
     def test_diag_view_writes_through(self):
         """Contiguous or not, `_diag(write=True)` is a view: writes reach the
-        matrix."""
-        base = np.arange(18.0).reshape(2, 3, 3)
-        for cov in (base.copy(), base.copy().transpose(0, 2, 1), base.copy()[0]):
-            want = np.einsum("...ii->...i", cov).copy()
+        matrix.  A batch-last (n, n, B) stack gives its diagonals as (B, n)."""
+        base = np.arange(18.0).reshape(3, 3, 2)
+        for cov in (base.copy(), base.copy().transpose(1, 0, 2), base[..., 0].copy(),
+                    base.copy()[..., 1]):
+            want = np.einsum("ii...->...i", cov).copy()
+            assert want.shape == cov.shape[2:] + (3,)
             np.testing.assert_array_equal(m._diag(cov), want)
             d = m._diag(cov, write=True)
             np.testing.assert_array_equal(d, want)
             d[...] = -1.0
-            np.testing.assert_array_equal(np.einsum("...ii->...i", cov), -np.ones_like(want))
+            np.testing.assert_array_equal(np.einsum("ii...->...i", cov), -np.ones_like(want))
 
     def test_immutable(self):
         mv = diag_mv([1.0], [1.0])
@@ -223,6 +225,21 @@ class TestMpGeluPropagate:
     def test_deterministic_negative_blocked(self):
         out = m.mp_gelu_propagate(diag_mv([-2.0], [0.0]))
         assert out.mean[0] == 0.0 and out.cov[0] == 0.0
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_tiny_negative_input_variance_is_clamped(self, mode):
+        """A direct kernel call with var −5e-11 at μ > 0: the gate clamps it
+        to 0 for its rate, its output and its context, as the rectifier
+        does."""
+        mean = np.array([[2.0, -1.0, 0.5]])
+        var = np.array([-5e-11, 1.0, 0.3])
+        cov = np.diag(var)[:, :, None] if mode == m.FULL else var[None]
+        _, out_cov, ctx = m._mp_gelu_fwd(mean, cov, mode)
+        _, relu_cov, _ = m._relu_fwd(mean, cov, mode)
+        gate_var, relu_var = (m._diag(c) if mode == m.FULL else c for c in (out_cov, relu_cov))
+        assert gate_var[0, 0] == 0.0 and relu_var[0, 0] == 0.0
+        assert ctx[1][0, 0] == 0.0  # the variance the adjoint reads
+        assert np.all(gate_var >= 0.0)
 
     def test_matches_mc_oracle_standard_normal(self):
         mv = diag_mv([0.0], [1.0])

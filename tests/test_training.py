@@ -147,7 +147,8 @@ class TestLossAndGradients:
 class TestGuardedPaths:
     """A batch with no unit below SIGMA_FLOOR runs the gates' plain formulas
     and carries det=None; one such unit anywhere sends the whole batch
-    through the masked ones.  The other rows must not see the difference."""
+    through the masked ones.  The other rows must not see the difference.
+    Full covariances are batch-last, so their rows are the last axis."""
 
     @staticmethod
     def _batch(rng, rows, n, mode, sigma):
@@ -160,7 +161,8 @@ class TestGuardedPaths:
         corr = a @ a.transpose(0, 2, 1) + 0.1 * np.eye(n)
         d = np.sqrt(np.einsum("bii->bi", corr))
         corr /= d[:, :, None] * d[:, None, :]
-        return mean, corr * sigma[:, :, None] * sigma[:, None, :]
+        cov = corr * sigma[:, :, None] * sigma[:, None, :]
+        return mean, np.ascontiguousarray(cov.transpose(1, 2, 0))
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     @pytest.mark.parametrize("kind", [net.MP_GELU, net.RELU])
@@ -170,26 +172,31 @@ class TestGuardedPaths:
         sigma = rng.uniform(0.3, 2.0, (rows + 1, n))
         sigma[rows, 1:3] = (1e-13, 0.0)  # the extra row: units below the floor
         mean, cov = self._batch(rng, rows + 1, n, mode, sigma)
+
+        def head(a):
+            """The first `rows` rows of a mean, or of a covariance of `mode`."""
+            return a[..., :rows] if a.ndim == 3 else a[:rows]
+
         fwd, bwd = getattr(m, f"_{kind}_fwd"), getattr(tr, f"_{kind}_bwd")
-        plain = fwd(mean[:rows].copy(), cov[:rows].copy(), mode)
+        plain = fwd(mean[:rows].copy(), head(cov).copy(), mode)
         guarded = fwd(mean, cov, mode)
         assert any(c is None for c in plain[2])  # det
         assert not any(c is None for c in guarded[2])
         for a, b in zip(plain[:2], guarded[:2]):
-            np.testing.assert_array_equal(a, b[:rows])
+            np.testing.assert_array_equal(a, head(b))
         g_mean = rng.standard_normal(mean.shape)
         g_cov = rng.standard_normal(cov.shape)
         if mode == m.FULL:
-            g_cov = g_cov + g_cov.transpose(0, 2, 1)
-        plain_in = bwd(plain[2], g_mean[:rows].copy(), g_cov[:rows].copy(), mode)
+            g_cov = g_cov + g_cov.transpose(1, 0, 2)
+        plain_in = bwd(plain[2], g_mean[:rows].copy(), head(g_cov).copy(), mode)
         guarded_in = bwd(guarded[2], g_mean.copy(), g_cov.copy(), mode)
         for a, b in zip(plain_in, guarded_in):
             assert np.isfinite(b).all()
-            np.testing.assert_array_equal(a, b[:rows])
+            np.testing.assert_array_equal(a, head(b))
 
 
 class TestStepBufferPool:
-    """Full-mode steps lend their (B, n, n) arrays from a per-thread pool."""
+    """Full-mode steps lend their (n, n, B) arrays from a per-thread pool."""
 
     @staticmethod
     def _unpooled(config, params, xs, ys):
@@ -231,6 +238,24 @@ class TestStepBufferPool:
                  (net.ARCH_RELU, "full"), (net.ARCH_MP_GELU, "full")]
         for arch, batch in order:
             check(arch, batch)
+
+        # A fresh thread's pool lends 4-row buffers, then replaces them for 9
+        # rows, then lends contiguous prefixes of the 9-row ones for 4 again:
+        # a `[..., :B]` slice there would break the kernels' flat reshapes.
+        errors = []
+
+        def grow():
+            try:
+                for arch in models:
+                    for batch in ("short", "full", "short"):
+                        check(arch, batch)
+            except AssertionError as exc:
+                errors.append(exc)
+
+        worker = threading.Thread(target=grow)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive() and not errors, errors
 
         def poisoned(ctx, g_mean, g_cov, mode):
             raise FloatingPointError("poisoned kernel")
