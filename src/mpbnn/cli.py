@@ -476,8 +476,8 @@ def fd_check(config, params, x, y):
     """Analytic gradients of one batch against central differences (step
     1e-5).  A coordinate violates when its relative error is 1e-4 or more
     or, where |gradient| < 1e-3, its absolute error is 1e-7 or more.
-    Returns (coordinates, worst relative error, violations as
-    (array, layer, index, analytic, fd))."""
+    The probes need only the loss (`training.loss`).  Returns (coordinates,
+    worst relative error, violations as (array, layer, index, analytic, fd))."""
     _, grads = training.loss_and_gradients(config, params, x, y)
     h = 1e-5
     coordinates, worst, violations = 0, 0.0, []
@@ -486,9 +486,9 @@ def fd_check(config, params, x, y):
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = orig + h
-                lp, _ = training.loss_and_gradients(config, params, x, y)
+                lp = training.loss(config, params, x, y)
                 w[idx] = orig - h
-                lm, _ = training.loss_and_gradients(config, params, x, y)
+                lm = training.loss(config, params, x, y)
                 w[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 an = getattr(grads, name)[li][idx]
@@ -623,9 +623,9 @@ def main(argv=None) -> int:
         with open(args.config, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
     if args.command in ("toy", "uci") and not training.blas_pinned():
-        print("warning: BLAS is not pinned to one thread (threadpoolctl is not installed "
-              "and OPENBLAS_NUM_THREADS / OMP_NUM_THREADS is not 1); run times may "
-              "vary with the thread count", file=sys.stderr)
+        print("warning: BLAS is not pinned to one thread (threadpoolctl is not installed, "
+              "no OpenBLAS was found to pin, and OPENBLAS_NUM_THREADS / OMP_NUM_THREADS "
+              "is not 1); run times may vary with the thread count", file=sys.stderr)
     try:
         if args.command == "toy":
             written = cmd_toy(

@@ -239,6 +239,9 @@ def run_tasks(worker, tasks, jobs: int = 1):
     """Map tasks in order, serially or over a process pool."""
     if jobs <= 1 or len(tasks) <= 1:
         return [worker(t) for t in tasks]
+    # Look the OpenBLAS libraries up here, once, so that forked workers
+    # inherit the lookup instead of each repeating it (about 1 ms).
+    training._openblas_threads()
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(worker, tasks))
 

@@ -246,7 +246,8 @@ class GateRates:
         rates = np.asarray(self.rates, dtype=float)
         if rates.ndim != 1:
             raise MomentError("rates must be a 1-d vector")
-        if np.any(rates < 0.0) or np.any(rates > 1.0):
+        # Written so that NaN, which fails every comparison, is rejected too.
+        if not np.all((rates >= 0.0) & (rates <= 1.0)):
             raise MomentError("rates must lie in [0, 1]")
         rates = rates.copy()
         rates.flags.writeable = False
@@ -322,8 +323,11 @@ def _dense_fwd(mean, cov, w, b, mode):
         else:
             np.dot(w, cov.reshape(n, n * batch), out=wsig.reshape(m, n * batch))
         out_cov = np.matmul(w, wsig, out=_empty((m, m, batch)))
-        _release(wsig)
         _clamp_diag_inplace(out_cov, "dense_propagate")
+        # The adjoint reads W Σ when m < n and Σ otherwise (see `training`).
+        if m < n:
+            return out_mean, out_cov, (mean, w, wsig)
+        _release(wsig)
         return out_mean, out_cov, (mean, w, cov)
     out_cov = np.dot(cov, (w * w).T)
     out_cov = _clamp_variances(out_cov, "dense_propagate")

@@ -217,10 +217,12 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     backward pass; layers below it have no parameters and nothing above
     depends on their adjoints.  Also only then, a full-mode dropout layer's
     input covariance goes back to the step's buffer pool once the layer has
-    run: its context keeps none of it, while the dense and gate contexts
-    keep theirs.  (Diag-mode arrays are not pooled, so that release is a
-    no-op there.)  A full-mode covariance comes back batch-last (see
-    `moments`).
+    run: its context keeps none of it, while a gate context keeps its input
+    covariance.  A full-mode dense context keeps the layer's input Σ, or,
+    when the layer has fewer outputs than inputs (the head), the (m, n, B)
+    W Σ of its forward pass instead (see `training`).  (Diag-mode arrays
+    are not pooled, so that release is a no-op there.)  A full-mode
+    covariance comes back batch-last (see `moments`).
     """
     mode = config.covariance_mode
     mean = xs

@@ -16,12 +16,22 @@ subgradient convention).  A context's `det` is None when no unit is below
 the floor (see `moments`); the adjoints then skip the masks.
 
 Finite differences are kept as a test oracle only; this module is the
-production gradient path.
+production gradient path.  `loss_and_gradients` runs a taped forward pass
+and the backward pass inside a pooled step (see `moments`).  `loss` gives
+the same loss, bit for bit, from the forward pass alone; it is what the
+finite-difference probes of `cli.fd_check` call.  Both take their input
+checks and head objective from one place (`_batch`, `_head_loss`).
+
+`train` runs with BLAS pinned to one thread (`single_thread_blas`):
+through threadpoolctl when it is installed, else through the thread-count
+functions of each OpenBLAS loaded in the process, found once on first use.
 """
 
 from __future__ import annotations
 
 import contextlib
+import ctypes
+import functools
 import math
 import os
 from dataclasses import dataclass
@@ -51,22 +61,74 @@ try:
 except ImportError:
     threadpool_limits = None
 
+# (get, set) thread-count symbols of an OpenBLAS: numpy's 64-bit-integer
+# build, scipy's, then a system OpenBLAS.
+_OPENBLAS_SYMBOLS = (
+    ("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+    ("scipy_openblas_get_num_threads", "scipy_openblas_set_num_threads"),
+    ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+    ("openblas_get_num_threads", "openblas_set_num_threads"),
+)
+
+
+@functools.cache
+def _openblas_threads() -> tuple:
+    """(get, set) thread-count functions of each OpenBLAS in the process.
+
+    Found on first use, from the libraries mapped into the process (Linux
+    only; elsewhere there are none), and kept for the life of the process."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for get_name, set_name in _OPENBLAS_SYMBOLS:
+            get, set_ = getattr(lib, get_name, None), getattr(lib, set_name, None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                found.append((get, set_))
+                break
+    return tuple(found)
+
+
+@contextlib.contextmanager
+def _pin_openblas():
+    """Every OpenBLAS found on one thread; the prior counts back on exit.
+    The counts are process-wide, as threadpoolctl's limits are."""
+    libs = _openblas_threads()
+    prior = [get() for get, _ in libs]
+    for _, set_ in libs:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), threads in zip(libs, prior):
+            set_(threads)
+
 
 def single_thread_blas():
     """Pin BLAS to one thread; threaded GEMM loses badly on these tiny shapes.
 
-    A no-op when threadpoolctl is not installed."""
+    Through threadpoolctl when it is installed, else through each loaded
+    OpenBLAS's own thread-count functions; a no-op when neither is there."""
     if threadpool_limits is None:
-        return contextlib.nullcontext()
+        return _pin_openblas()
     return threadpool_limits(limits=1)
 
 
 def blas_pinned() -> bool:
     """Whether BLAS runs on one thread inside `single_thread_blas()`: either
-    threadpoolctl is importable, or the environment set OpenBLAS's thread
-    count to 1 (OPENBLAS_NUM_THREADS, else OMP_NUM_THREADS, as OpenBLAS reads
-    them when it loads)."""
-    if threadpool_limits is not None:
+    threadpoolctl is importable, an OpenBLAS was found to pin, or the
+    environment set OpenBLAS's thread count to 1 (OPENBLAS_NUM_THREADS, else
+    OMP_NUM_THREADS, as OpenBLAS reads them when it loads)."""
+    if threadpool_limits is not None or _openblas_threads():
         return True
     threads = os.environ.get("OPENBLAS_NUM_THREADS") or os.environ.get("OMP_NUM_THREADS")
     return threads == "1"
@@ -118,11 +180,13 @@ class GradientSet:
 # overwrite it with their full-mode result.
 #
 # The dense adjoint of Σ' = W Σ Wᵀ, per batch entry, with H = g W (m × n):
-#     g_Σ = Wᵀ g W = Wᵀ H,   g_W = 2 g W Σ = 2 H Σ   (g and Σ symmetric).
+#     g_Σ = Wᵀ g W = Wᵀ H,   g_W = 2 g W Σ = 2 H Σ = 2 g (W Σ)   (g and Σ symmetric).
 # Batch-last, H is matmul(Wᵀ, g) over g's leading axis, m GEMMs of
-# (n, m)(m, B) into an (m, n, B) array, and both products are flat GEMMs
-# over (·, n·B), g_W's summing over the batch too.  So the tape keeps the
-# layer's input Σ, not W Σ.
+# (n, m)(m, B) into an (m, n, B) array, and g_Σ is a flat GEMM over (·, n·B).
+# g_W, summed over the batch, takes whichever of Σ and W Σ is smaller:
+# H Σ, one flat GEMM, costs m·n²·B, and g (W Σ), m GEMMs of (m, B)(B, n),
+# costs m²·n·B.  So a layer with m < n (the head) keeps on the tape the W Σ
+# that its forward pass formed, and any other layer keeps its input Σ.
 # ---------------------------------------------------------------------------
 
 
@@ -130,24 +194,27 @@ def _dense_bwd(ctx, g_mean, g_cov, mode, input_grad=True):
     """Parameter adjoints and, unless `input_grad` is false, input adjoints
     (returned as None otherwise: nothing uses them below the first dense
     layer, which is also the only place a full-mode input is diagonal)."""
-    in_mean, w, in_cov = ctx
+    in_mean, w, cov = ctx
     g_b = g_mean.sum(axis=0)
     g_w = g_mean.T @ in_mean
     m, n = w.shape
     if mode != FULL:
-        # in_cov is the input variance vector.
-        g_w += 2.0 * w * (g_cov.T @ in_cov)
+        # cov is the input variance vector.
+        g_w += 2.0 * w * (g_cov.T @ cov)
         if not input_grad:
             return None, None, g_w, g_b
         return g_mean @ w, g_cov @ (w * w), g_w, g_b
     batch = g_mean.shape[0]
     h = np.matmul(w.T, g_cov, out=moments._empty((m, n, batch)))
     h_flat = h.reshape(m, n * batch)
-    if in_cov.ndim == 2:
+    if m < n:
+        # cov is W Σ, (m, n, B): Σ_b g_b (W Σ)_b as m GEMMs, summed.
+        g_w += 2.0 * np.matmul(g_cov.transpose(1, 0, 2), cov.transpose(0, 2, 1)).sum(axis=0)
+    elif cov.ndim == 2:
         # Σ = diag(v): (H Σ)_ki = H_ki v_i, summed over the batch.
-        g_w += 2.0 * np.einsum("kib,bi->ki", h, in_cov)
+        g_w += 2.0 * np.einsum("kib,bi->ki", h, cov)
     else:
-        g_w += 2.0 * np.dot(h_flat, in_cov.reshape(n, n * batch).T)
+        g_w += 2.0 * np.dot(h_flat, cov.reshape(n, n * batch).T)
     if not input_grad:
         return None, None, g_w, g_b
     g_cov_in = moments._empty((n, n, batch))
@@ -255,39 +322,64 @@ def _forward_tape(config, params, xs):
     return mean, cov, tape
 
 
-def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
-    """Mean negative expected log-likelihood over a batch, with exact gradients.
-
-    Returns (loss, GradientSet).
-    """
+def _batch(xs, ys):
+    """The batch as float arrays, checked: (B, Q) features, (B,) labels."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.ndim != 2 or xs.shape[0] == 0:
         raise ValueError("batch must be a non-empty (B, Q) array")
     if ys.shape != (xs.shape[0],):
         raise ValueError(f"labels shape {ys.shape} does not match batch {xs.shape}")
+    return xs, ys
+
+
+def _head_loss(config, mean, cov, ys):
+    """Mean negative expected log-likelihood of a pass's head moments.
+
+    Returns (loss, the head's objective backward kernel, its context).  The
+    objective kernels take the head's covariance as (B, h, h), so a full-mode
+    one is transposed in."""
+    mode = config.covariance_mode
+    head_cov = cov.transpose(2, 0, 1) if mode == FULL else cov
+    if config.head == HEAD_HETEROSCEDASTIC:
+        ell, octx = objective._ell2_fwd(mean, head_cov, ys, mode)
+        bwd = objective._ell2_bwd
+    else:
+        ell, octx = objective._ell1_fwd(mean, head_cov, ys, mode)
+        bwd = objective._ell1_bwd
+    loss = -float(np.mean(ell))
+    if not math.isfinite(loss):
+        raise FloatingPointError("non-finite training loss")
+    return loss, bwd, octx
+
+
+def loss(config: ModelConfig, params: ParameterSet, xs, ys) -> float:
+    """The loss of `loss_and_gradients`, bit for bit, from the forward pass
+    alone: no tape, no backward pass and no pooled step."""
+    xs, ys = _batch(xs, ys)
+    mean, cov = _run_layers(config, params, xs)
+    return _head_loss(config, mean, cov, ys)[0]
+
+
+def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
+    """Mean negative expected log-likelihood over a batch, with exact gradients.
+
+    Returns (loss, GradientSet).
+    """
+    xs, ys = _batch(xs, ys)
     mode = config.covariance_mode
     batch = xs.shape[0]
 
     # Full-mode (n, n, B) arrays come from the thread's buffer pool while the
-    # step is open; nothing returned below refers to them.  The objective
-    # kernels take the head's covariance as (B, h, h), so it is transposed
-    # in and its adjoint out.
+    # step is open; nothing returned below refers to them.  The head's
+    # full-mode covariance adjoint comes back (B, h, h) and is transposed out.
     moments._open_step()
     try:
         mean, cov, tape = _forward_tape(config, params, xs)
-        head_cov = cov.transpose(2, 0, 1) if mode == FULL else cov
-        if config.head == HEAD_HETEROSCEDASTIC:
-            ell, octx = objective._ell2_fwd(mean, head_cov, ys, mode)
-            g_mean, g_cov = objective._ell2_bwd(octx, np.full(batch, -1.0 / batch))
-        else:
-            ell, octx = objective._ell1_fwd(mean, head_cov, ys, mode)
-            g_mean, g_cov = objective._ell1_bwd(octx, np.full(batch, -1.0 / batch))
+        loss, head_bwd, octx = _head_loss(config, mean, cov, ys)
+        g_mean, g_cov = head_bwd(octx, np.full(batch, -1.0 / batch))
         if mode == FULL:
             g_cov = np.ascontiguousarray(g_cov.transpose(1, 2, 0))
-        loss = -float(np.mean(ell))
-        if not math.isfinite(loss):
-            raise FloatingPointError("non-finite training loss")
 
         grads = GradientSet([None] * len(params.weights), [None] * len(params.biases))
         for layer_i, kind, dense_i, ctx in reversed(tape):

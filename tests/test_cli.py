@@ -225,6 +225,22 @@ class TestCheckCommand:
             assert len(got) == 8
             assert [l for l in got if l.startswith("FAIL")] == [f"FAIL moment_oracle {fail}"]
 
+    def test_gradient_lines_pinned(self):
+        """Seed 0's finite-difference lines: a change to the probe loss, the
+        analytic gradients or the tolerances moves them."""
+        got = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
+               for name, ok, detail in cli._check_gradients(0)]
+        assert got == [
+            "PASS gradient_fd mp_gelu full heteroscedastic2: worst rel 1.82e-08",
+            "PASS gradient_fd mp_gelu full homoscedastic1: worst rel 1.16e-07",
+            "PASS gradient_fd mp_gelu diag heteroscedastic2: worst rel 7.68e-09",
+            "PASS gradient_fd mp_gelu diag homoscedastic1: worst rel 1.19e-08",
+            "PASS gradient_fd relu full heteroscedastic2: worst rel 1.74e-08",
+            "PASS gradient_fd relu full homoscedastic1: worst rel 1.12e-07",
+            "PASS gradient_fd relu diag heteroscedastic2: worst rel 1.13e-08",
+            "PASS gradient_fd relu diag homoscedastic1: worst rel 9.66e-09",
+        ]
+
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
             cli.run_self_checks("bogus")
@@ -251,6 +267,7 @@ class TestMainWiring:
 
     def test_unpinned_blas_warns_once(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(training, "threadpool_limits", None)
+        monkeypatch.setattr(training, "_openblas_threads", lambda: ())
         for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"):
             monkeypatch.delenv(var, raising=False)
         assert cli.main(["toy", "--out", str(tmp_path), "--epochs", "1"]) == 0

@@ -210,6 +210,12 @@ class TestGateRates:
         rates = m.mp_gelu_rates(diag_mv(mus, np.ones_like(mus))).rates
         np.testing.assert_allclose(rates, ndtr(-mus), rtol=1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, -0.1, 1.5, np.inf])
+    def test_rate_outside_unit_interval_rejected(self, bad):
+        with pytest.raises(m.MomentError, match=r"rates must lie in \[0, 1\]"):
+            m.GateRates([bad, 0.5])
+        m.GateRates([0.0, 0.5, 1.0])
+
 
 class TestMpGeluPropagate:
     def test_standard_normal_closed_form(self):

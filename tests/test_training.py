@@ -1,5 +1,9 @@
 """Gradient machinery and the SGD loop."""
 
+import json
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 
@@ -12,6 +16,9 @@ from mpbnn import network as net
 from mpbnn import training as tr
 from mpbnn.data import toy_generate
 from mpbnn.mc_oracle import mc_network_moments
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS",
+                    "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS")
 
 
 def assert_grads_match_fd(config, params, x, y):
@@ -142,6 +149,65 @@ class TestLossAndGradients:
             calls.clear()
             cli.layer_oracle(kind, mode, 2, 1000, np.random.default_rng(k), lambda case: case)
             assert calls == Counter({f"_{kind}_fwd": 2}), kind
+
+
+class TestLoss:
+    """`loss` is the loss of `loss_and_gradients` from the forward pass alone."""
+
+    @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    @pytest.mark.parametrize("head", [net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC])
+    def test_bit_identical_to_loss_and_gradients(self, arch, mode, head):
+        rng = np.random.default_rng(17)
+        config = net.build_model(arch, 13, 20, 0.05, mode, head)
+        params = net.init_parameters(config, 2)
+        for batch in (1, 3, 256):
+            x, y = rng.standard_normal((batch, 13)), rng.standard_normal(batch)
+            assert tr.loss(config, params, x, y) == tr.loss_and_gradients(config, params, x, y)[0]
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_runs_no_backward_kernel_and_lends_no_buffer(self, monkeypatch, mode):
+        def poisoned(*args, **kwargs):
+            raise AssertionError("backward kernel called")
+
+        for name in ("_dense_bwd", "_dropout_bwd", "_mp_gelu_bwd", "_relu_bwd"):
+            monkeypatch.setattr(tr, name, poisoned)
+        for name in ("_ell2_bwd", "_ell1_bwd"):
+            monkeypatch.setattr(tr.objective, name, poisoned)
+        monkeypatch.setattr(m, "_open_step", poisoned)
+        lent = []
+        orig_empty = m._empty
+
+        def recording(shape):
+            lent.append(m._pool.lent)
+            return orig_empty(shape)
+
+        monkeypatch.setattr(m, "_empty", recording)
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((5, 3)), rng.standard_normal(5)
+        for arch in (net.ARCH_MP_GELU, net.ARCH_RELU):
+            for head in (net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC):
+                config = net.build_model(arch, 3, 4, 0.1, mode, head)
+                assert np.isfinite(tr.loss(config, net.init_parameters(config, 0), x, y))
+        assert m._pool.lent is None
+        assert all(entry is None for entry in lent)
+        assert bool(lent) == (mode == m.FULL)
+
+    @pytest.mark.parametrize("xs, ys", [
+        (np.zeros((0, 3)), np.zeros(0)),
+        (np.zeros(3), np.zeros(1)),
+        (np.zeros((2, 3)), np.zeros(3)),
+        (np.zeros((2, 3)), np.zeros((2, 1))),
+        (np.zeros((2, 4)), np.zeros(2)),
+    ])
+    def test_bad_shapes_raise_as_loss_and_gradients_does(self, xs, ys):
+        config = net.build_mp_gelu_model(3, 4, 0.1, m.FULL, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 0)
+        with pytest.raises(ValueError) as want:
+            tr.loss_and_gradients(config, params, xs, ys)
+        with pytest.raises(ValueError) as got:
+            tr.loss(config, params, xs, ys)
+        assert str(got.value) == str(want.value)
 
 
 class TestGuardedPaths:
@@ -379,3 +445,29 @@ class TestEvaluateModel:
         assert np.isfinite(res["nll"]) and np.isfinite(res["rmse"])
         assert res["pred_var"].shape == (12,)
         assert np.all(res["pred_var"] > 0)
+
+
+class TestSingleThreadBlas:
+    def test_pins_every_openblas_and_restores_the_prior_count(self):
+        """In a fresh interpreter with no thread variables set, every OpenBLAS
+        found reports one thread inside the context and its prior count after."""
+        code = (
+            "import json; from mpbnn import training as tr\n"
+            "libs = tr._openblas_threads()\n"
+            "for _, set_ in libs: set_(2)\n"
+            "count = lambda: [get() for get, _ in libs]\n"
+            "before = count()\n"
+            "with tr.single_thread_blas(): inside = count()\n"
+            "print(json.dumps([len(libs), before, inside, count(), tr.blas_pinned()]))\n"
+        )
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_THREAD_VARS}
+        out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                             text=True, check=True, timeout=120)
+        found, before, inside, after, pinned = json.loads(out.stdout)
+        numpy_blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+        if sys.platform.startswith("linux") and "openblas" in numpy_blas:
+            assert found >= 1
+        assert before == [2] * found
+        assert inside == [1] * found
+        assert after == before
+        assert pinned is (found > 0 or tr.threadpool_limits is not None)
