@@ -22,7 +22,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,10 +72,11 @@ class ExperimentResult:
     rmse: list
     runtime_s: float
     blas_pinned: bool  # see `training.blas_pinned`
-    nll_mean: float = 0.0
-    nll_se: float = 0.0
-    rmse_mean: float = 0.0
-    rmse_se: float = 0.0
+    # Derived from `nll` and `rmse` in __post_init__.
+    nll_mean: float = field(init=False)
+    nll_se: float = field(init=False)
+    rmse_mean: float = field(init=False)
+    rmse_se: float = field(init=False)
 
     def __post_init__(self):
         if len(self.nll) != len(self.rmse) or not self.nll:
@@ -157,10 +158,16 @@ def cmd_toy(out_dir, seed: int = 0, epochs: int = None, lr: float = None,
 
 
 def load_manifest(path) -> dict:
+    """Dataset entries with `path` resolved against the manifest's directory.
+
+    Every entry must have a `path`, `n` and `q`."""
     with open(path, "r", encoding="utf-8") as fh:
         manifest = json.load(fh)
     base = os.path.dirname(os.path.abspath(path))
     for name, entry in manifest.items():
+        missing = [key for key in ("path", "n", "q") if key not in entry]
+        if missing:
+            raise ValueError(f"{path}: dataset {name!r} has no {', '.join(map(repr, missing))}")
         entry["path"] = os.path.join(base, entry["path"])
     return manifest
 
@@ -182,29 +189,6 @@ def load_manifest_dataset(manifest: dict, name: str) -> data.Dataset:
             f"file has N={ds.n}, Q={ds.q}"
         )
     return ds
-
-
-def _final_split_worker(args):
-    """Train on one split's full training data, return (test NLL, test RMSE)."""
-    (name, split_i, features, labels, train_idx, test_idx, std_fields, arch, mode, head,
-     width, rate, tc_fields, run_seed) = args
-    std = data.Standardizer(*std_fields)
-    x_tr = std.transform_features(features[train_idx])
-    y_tr = std.transform_labels(labels[train_idx])
-    x_te = std.transform_features(features[test_idx])
-    y_te = std.transform_labels(labels[test_idx])
-    config = network.build_model(arch, x_tr.shape[1], width, rate, mode, head)
-    tc = training.TrainConfig(**{**tc_fields, "seed": run_seed})
-    try:
-        params, _ = training.train(config, tc, x_tr, y_tr)
-    except training.DIVERGENCE_ERRORS as exc:
-        where = (f"dataset {name!r}, {arch} {mode}, dropout rate {rate}, "
-                 f"final split {split_i}")
-        raise training.with_context(exc, where) from exc
-    res = training.evaluate_model(config, params, x_te, y_te)
-    return res["nll"], res["rmse"], [w.tolist() for w in params.weights], [
-        b.tolist() for b in params.biases
-    ]
 
 
 def _time_test_pass(config, params, x_test, repetitions: int = 5) -> float:
@@ -238,38 +222,21 @@ def run_uci_protocol(ds: data.Dataset, arch: str, mode: str, head: str, seed: in
         batch if batch is not None else UCI_DEFAULTS["batch"],
         seed,
     )
-    tc_fields = dataclasses.asdict(tc)
     if dropout is None:
         rate = data.grid_search_dropout(
-            ds, arch, mode, head, tc, repeats=repeats, seed=seed, jobs=jobs, width=width
+            ds, arch, mode, head, tc, repeats=repeats, jobs=jobs, width=width
         )
     else:
         rate = dropout
     splits = data.make_splits(ds, repeats=repeats, seed=seed)
-    tasks = []
-    for si, split in enumerate(splits):
-        std = split.standardizer
-        tasks.append(
-            (
-                ds.name, si, ds.features, ds.labels, split.train_val_idx, split.test_idx,
-                (std.feature_mean, std.feature_std, std.label_mean, std.label_std),
-                arch, mode, head, width, rate, tc_fields,
-                data.derived_seed(seed, 2, si),
-            )
-        )
-    outcomes = data.run_tasks(_final_split_worker, tasks, jobs)
+    tasks = data.split_tasks(ds, splits, data.FINAL, arch, mode, head, width, rate, tc, (2,))
+    outcomes = data.run_tasks(data.run_split, tasks, jobs)
     nll = [o[0] for o in outcomes]
     rmse = [o[1] for o in outcomes]
 
     # Timing on the first split's trained model; --jobs is irrelevant here
     # (single-threaded by construction).
-    config = network.build_model(arch, ds.q, width, rate, mode, head)
-    params = network.ParameterSet(
-        [np.asarray(w) for w in outcomes[0][2]], [np.asarray(b) for b in outcomes[0][3]]
-    )
-    std0 = splits[0].standardizer
-    x_test = std0.transform_features(ds.features[splits[0].test_idx])
-    runtime = _time_test_pass(config, params, x_test)
+    runtime = _time_test_pass(tasks[0].config, outcomes[0][2], tasks[0].rows()[2])
     return ExperimentResult(
         ds.name, ds.n, ds.q, arch, mode, head, rate, seed, nll, rmse, runtime,
         training.blas_pinned(),

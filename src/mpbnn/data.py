@@ -4,9 +4,10 @@ The benchmark protocol: 10% of the rows form the test set, the rest the
 training set, repeated 20 times.  For the dropout grid search, 20% of each
 training set is held out for validation; the rate with the lowest mean
 validation NLL across the 20 splits wins (ties to the smaller rate).
-Features and labels are standardized with statistics of the data actually
-trained on; test/validation sets reuse those statistics.  Metrics are
-reported in standardized label space.
+Both phases train and score through one runner, `run_split`.  It fits the
+feature and label statistics on the rows it trains on (the train portion in
+the grid search, train+val in the final phase), and the held-out rows reuse
+them.  Metrics are reported in standardized label space.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import dataclasses
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -80,23 +82,19 @@ class Standardizer:
     def transform_labels(self, labels: np.ndarray) -> np.ndarray:
         return (labels - self.label_mean) / self.label_std
 
-    def destandardize_labels(self, labels: np.ndarray) -> np.ndarray:
-        return labels * self.label_std + self.label_mean
-
 
 @dataclass(frozen=True)
 class DatasetSplit:
-    """Disjoint train/val/test index sets with train-portion statistics.
+    """Disjoint train/val/test index sets.
 
-    `standardizer` is fitted on train+val (the full training data of the
-    final protocol); the grid-search phase fits its own on the train
-    portion it actually optimizes.
+    A split holds no statistics: `run_split` fits them on the rows it
+    trains on, the train portion in the grid search and train+val in the
+    final phase.
     """
 
     train_idx: np.ndarray
     val_idx: np.ndarray
     test_idx: np.ndarray
-    standardizer: Standardizer
 
     def __post_init__(self):
         all_idx = np.concatenate([self.train_idx, self.val_idx, self.test_idx])
@@ -187,7 +185,7 @@ def make_splits(
     val_frac: float = 0.2,
     seed: int = 0,
 ) -> list:
-    """Independent random splits; statistics from each split's training data."""
+    """Independent random splits of the rows into train, val and test."""
     n = ds.n
     n_test = int(round(n * test_frac))
     n_rest = n - n_test
@@ -204,9 +202,7 @@ def make_splits(
         test_idx = np.sort(perm[:n_test])
         val_idx = np.sort(perm[n_test : n_test + n_val])
         train_idx = np.sort(perm[n_test + n_val :])
-        both = np.concatenate([train_idx, val_idx])
-        std = Standardizer.fit(ds.features[both], ds.labels[both])
-        splits.append(DatasetSplit(train_idx, val_idx, test_idx, std))
+        splits.append(DatasetSplit(train_idx, val_idx, test_idx))
     return splits
 
 
@@ -215,24 +211,64 @@ def derived_seed(base: int, *tags) -> int:
     return int(np.random.SeedSequence((base, *tags)).generate_state(1)[0])
 
 
-def _grid_point(args):
-    """Train on the train portion at one rate, return validation NLL."""
-    (name, split_i, features, labels, train_idx, val_idx, arch, mode, head, width, rate,
-     tc_fields, run_seed) = args
-    std = Standardizer.fit(features[train_idx], labels[train_idx])
-    x_tr = std.transform_features(features[train_idx])
-    y_tr = std.transform_labels(labels[train_idx])
-    x_val = std.transform_features(features[val_idx])
-    y_val = std.transform_labels(labels[val_idx])
-    config = network.build_model(arch, x_tr.shape[1], width, rate, mode, head)
-    tc = training.TrainConfig(**{**tc_fields, "seed": run_seed})
+GRID_SEARCH = "grid-search"
+FINAL = "final"
+
+
+class SplitTask(NamedTuple):
+    """One training of the protocol, the unit of work of `run_split`.
+
+    The grid-search phase trains on the split's train portion and scores
+    its validation rows; the final phase trains on train+val and scores
+    the test rows.
+    """
+
+    ds: Dataset
+    phase: str  # GRID_SEARCH or FINAL
+    split_i: int
+    split: DatasetSplit
+    arch: str
+    rate: float
+    config: network.ModelConfig
+    train_config: training.TrainConfig
+
+    def rows(self):
+        """(x_train, y_train, x_eval, y_eval), scaled by the training rows' statistics."""
+        s = self.split
+        train_idx, eval_idx = ((s.train_idx, s.val_idx) if self.phase == GRID_SEARCH
+                               else (s.train_val_idx, s.test_idx))
+        features, labels = self.ds.features, self.ds.labels
+        std = Standardizer.fit(features[train_idx], labels[train_idx])
+        return (std.transform_features(features[train_idx]),
+                std.transform_labels(labels[train_idx]),
+                std.transform_features(features[eval_idx]),
+                std.transform_labels(labels[eval_idx]))
+
+
+def split_tasks(ds, splits, phase, arch, mode, head, width, rate, train_config,
+                seed_tags) -> list:
+    """One `SplitTask` per split at one dropout rate.
+
+    Split i trains with seed `derived_seed(train_config.seed, *seed_tags, i)`."""
+    config = network.build_model(arch, ds.q, width, rate, mode, head)
+    return [
+        SplitTask(ds, phase, si, split, arch, rate, config, dataclasses.replace(
+            train_config, seed=derived_seed(train_config.seed, *seed_tags, si)))
+        for si, split in enumerate(splits)
+    ]
+
+
+def run_split(task: SplitTask):
+    """Train one task's model and score it: (nll, rmse, trained ParameterSet)."""
+    x_tr, y_tr, x_ev, y_ev = task.rows()
     try:
-        params, _ = training.train(config, tc, x_tr, y_tr)
+        params, _ = training.train(task.config, task.train_config, x_tr, y_tr)
     except training.DIVERGENCE_ERRORS as exc:
-        where = (f"dataset {name!r}, {arch} {mode}, dropout rate {rate}, "
-                 f"grid-search split {split_i}")
+        where = (f"dataset {task.ds.name!r}, {task.arch} {task.config.covariance_mode}, "
+                 f"dropout rate {task.rate}, {task.phase} split {task.split_i}")
         raise training.with_context(exc, where) from exc
-    return training.evaluate_model(config, params, x_val, y_val)["nll"]
+    res = training.evaluate_model(task.config, params, x_ev, y_ev)
+    return res["nll"], res["rmse"], params
 
 
 def run_tasks(worker, tasks, jobs: int = 1):
@@ -254,14 +290,14 @@ def grid_search_dropout(
     train_config: training.TrainConfig,
     rates=GRID_RATES,
     repeats: int = 20,
-    seed=None,
     jobs: int = 1,
     width: int = 20,
 ) -> float:
     """Mean-validation-NLL argmin over the dropout search space.
 
     Each rate is scored by training on 80% of every split's training data
-    and averaging the held-out NLL over the splits.  A single-rate search
+    and averaging the held-out NLL over the splits.  The splits and every
+    training's seed derive from `train_config.seed`.  A single-rate search
     space short-circuits without training.
     """
     rates = tuple(rates)
@@ -269,37 +305,15 @@ def grid_search_dropout(
         raise ValueError("empty search space")
     if len(rates) == 1:
         return rates[0]
-    base_seed = train_config.seed if seed is None else seed
-    splits = make_splits(ds, repeats=repeats, seed=base_seed)
-    tc_fields = dataclasses.asdict(train_config)
-    tasks = []
-    for ri, rate in enumerate(rates):
-        for si, split in enumerate(splits):
-            tasks.append(
-                (
-                    ds.name,
-                    si,
-                    ds.features,
-                    ds.labels,
-                    split.train_idx,
-                    split.val_idx,
-                    arch,
-                    mode,
-                    head,
-                    width,
-                    rate,
-                    tc_fields,
-                    derived_seed(base_seed, 1, ri, si),
-                )
-            )
-    scores = run_tasks(_grid_point, tasks, jobs)
-    best_rate = None
-    best_nll = np.inf
+    splits = make_splits(ds, repeats=repeats, seed=train_config.seed)
+    tasks = [
+        task
+        for ri, rate in enumerate(rates)
+        for task in split_tasks(ds, splits, GRID_SEARCH, arch, mode, head, width, rate,
+                                train_config, (1, ri))
+    ]
+    scores = run_tasks(run_split, tasks, jobs)
     k = len(splits)
-    for ri, rate in enumerate(sorted(rates)):
-        src = rates.index(rate)
-        mean_nll = float(np.mean(scores[src * k : (src + 1) * k]))
-        if mean_nll < best_nll:
-            best_nll = mean_nll
-            best_rate = rate
-    return best_rate
+    mean_nll = [np.mean([nll for nll, _, _ in scores[ri * k : (ri + 1) * k]])
+                for ri in range(len(rates))]
+    return min(zip(mean_nll, rates))[1]

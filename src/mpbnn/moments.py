@@ -103,9 +103,6 @@ class FunctionCounters:
     def snapshot(self) -> dict:
         return {"erf": self.erf, "exp": self.exp, "sqrt": self.sqrt}
 
-    def total(self) -> int:
-        return self.erf + self.exp + self.sqrt
-
 
 counters = FunctionCounters()
 

@@ -12,10 +12,16 @@ from mpbnn import moments as m
 from mpbnn import mc_oracle
 
 
-def write_synth_dataset(tmp_path, n=90, q=2, seed=5, noise=0.3):
+def synth_dataset(n=90, q=2, seed=5, noise=0.3):
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((n, q))
     y = x @ np.arange(1.0, q + 1.0) + noise * rng.standard_normal(n)
+    return data.Dataset(x, y, "synth")
+
+
+def write_synth_dataset(tmp_path, n=90, q=2, seed=5, noise=0.3):
+    ds = synth_dataset(n, q, seed, noise)
+    x, y = ds.features, ds.labels
     csv_path = tmp_path / "synth.csv"
     with open(csv_path, "w", encoding="utf-8") as fh:
         header = ",".join(f"f{i}" for i in range(q))
@@ -121,6 +127,55 @@ class TestUciCommand:
                 manifest, "nope", "relu", m.DIAG, "heteroscedastic2",
                 tmp_path / "out", repeats=2, epochs=2, dropout=0.01,
             )
+
+    @pytest.mark.parametrize("drop, dataset, message", [
+        # An entry that was not asked for still needs a path.
+        ("path", "synth", "dataset 'other' has no 'path'"),
+        ("n", "other", "dataset 'other' has no 'n'"),
+        ("q", "synth", "dataset 'other' has no 'q'"),
+    ])
+    def test_manifest_entry_missing_key_is_an_error(self, tmp_path, capsys, drop, dataset,
+                                                    message):
+        manifest = write_synth_dataset(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["other"] = dict(doc["synth"])
+        del doc["other"][drop]
+        manifest.write_text(json.dumps(doc))
+        code = cli.main(["uci", "--manifest", str(manifest), "--dataset", dataset,
+                         "--arch", "relu", "--out", str(tmp_path / "out")])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith("error: ") and message in last
+
+    def test_pool_matches_serial(self):
+        """The process pool trains and scores every split exactly as the
+        serial loop does, in the grid search and the final phase."""
+        ds = synth_dataset()
+        serial, pooled = (
+            cli.run_uci_protocol(ds, "mp_gelu", m.DIAG, "heteroscedastic2", seed=4, jobs=jobs,
+                                 repeats=3, epochs=3, batch=32)
+            for jobs in (1, 2)
+        )
+        assert serial.dropout_rate == 0.05
+        assert (pooled.dropout_rate, pooled.nll, pooled.rmse) == (
+            serial.dropout_rate, serial.nll, serial.rmse)
+
+    def test_protocol_outputs_pinned(self):
+        """Grid search plus final splits on a fixed dataset and seed: a change
+        to the splits, the standardization or the per-split seeds moves them."""
+        ds = synth_dataset()
+        got = {
+            (arch, mode): (res.dropout_rate, res.nll, res.rmse)
+            for arch, mode in (("mp_gelu", m.DIAG), ("relu", m.FULL))
+            for res in [cli.run_uci_protocol(ds, arch, mode, "heteroscedastic2", seed=2,
+                                             repeats=2, epochs=10, batch=32)]
+        }
+        assert got == {
+            ("mp_gelu", m.DIAG): (0.01, [1.325623819640479, 1.6832024659931328],
+                                  [0.9258582659115929, 1.2147139019933753]),
+            ("relu", m.FULL): (0.01, [1.3246132136423672, 1.6781884499973434],
+                               [0.9248019999101105, 1.2129679700247058]),
+        }
 
     def test_grid_search_engaged_when_rate_unset(self, tmp_path, monkeypatch):
         manifest = write_synth_dataset(tmp_path)
