@@ -40,6 +40,9 @@ HEAD_BY_FLAG = {"2": HEAD_HETEROSCEDASTIC, "1": HEAD_HOMOSCEDASTIC}
 
 TOY_DEFAULTS = {"lr": 0.1, "epochs": 1000, "batch": 100, "dropout": 0.001}
 UCI_DEFAULTS = {"lr": 0.001, "epochs": 500, "batch": 256}
+TOY_TRAIN_ROWS = 100
+TOY_GRID_POINTS = 200
+TEST_PASS_REPETITIONS = 5  # timed passes of `_time_test_pass`, after one warmup
 BENCH_WIDTHS = (20, 64, 256, 1024)
 
 
@@ -109,21 +112,12 @@ RESULT_CSV_HEADER = [
 # ---------------------------------------------------------------------------
 
 
-def cmd_toy(out_dir, seed: int = 0, epochs: int = None, lr: float = None,
-            batch: int = None, dropout: float = None, n_train: int = 100,
-            grid_points: int = 200):
+def cmd_toy(out_dir, seed: int = 0, epochs: int = TOY_DEFAULTS["epochs"],
+            lr: float = TOY_DEFAULTS["lr"], batch: int = TOY_DEFAULTS["batch"],
+            dropout: float = TOY_DEFAULTS["dropout"]):
     """Train both architectures on the toy set and write Figure-1-style CSVs."""
-    hp = dict(TOY_DEFAULTS)
-    if epochs is not None:
-        hp["epochs"] = epochs
-    if lr is not None:
-        hp["lr"] = lr
-    if batch is not None:
-        hp["batch"] = batch
-    if dropout is not None:
-        hp["dropout"] = dropout
     os.makedirs(out_dir, exist_ok=True)
-    ds = data.toy_generate(n_train, seed=seed)
+    ds = data.toy_generate(TOY_TRAIN_ROWS, seed=seed)
     written = [
         _write_csv(
             os.path.join(out_dir, "toy_train.csv"),
@@ -131,10 +125,10 @@ def cmd_toy(out_dir, seed: int = 0, epochs: int = None, lr: float = None,
             list(zip(ds.features[:, 0], ds.labels)),
         )
     ]
-    grid = np.linspace(-1.0, 1.0, grid_points)
-    tc = training.TrainConfig(hp["lr"], hp["epochs"], hp["batch"], seed)
+    grid = np.linspace(-1.0, 1.0, TOY_GRID_POINTS)
+    tc = training.TrainConfig(lr, epochs, batch, seed)
     for arch in (ARCH_MP_GELU, ARCH_RELU):
-        config = network.build_model(arch, 1, 20, hp["dropout"], FULL, HEAD_HETEROSCEDASTIC)
+        config = network.build_model(arch, 1, 20, dropout, FULL, HEAD_HETEROSCEDASTIC)
         params, _ = training.train(config, tc, ds.features, ds.labels)
         with training.single_thread_blas():
             mean, cov = network.forward_batch(config, params, grid[:, None])
@@ -191,7 +185,7 @@ def load_manifest_dataset(manifest: dict, name: str) -> data.Dataset:
     return ds
 
 
-def _time_test_pass(config, params, x_test, repetitions: int = 5) -> float:
+def _time_test_pass(config, params, x_test) -> float:
     """Median wall time of the full test-set forward + predictive pass.
 
     Public per-example path, single-threaded, one warmup pass."""
@@ -204,7 +198,7 @@ def _time_test_pass(config, params, x_test, repetitions: int = 5) -> float:
     with training.single_thread_blas():
         one_pass()
         times = []
-        for _ in range(repetitions):
+        for _ in range(TEST_PASS_REPETITIONS):
             t0 = time.perf_counter()
             one_pass()
             times.append(time.perf_counter() - t0)
@@ -213,15 +207,12 @@ def _time_test_pass(config, params, x_test, repetitions: int = 5) -> float:
 
 def run_uci_protocol(ds: data.Dataset, arch: str, mode: str, head: str, seed: int = 0,
                      jobs: int = 1, repeats: int = 20, width: int = 20,
-                     epochs: int = None, lr: float = None, batch: int = None,
+                     epochs: int = UCI_DEFAULTS["epochs"], lr: float = UCI_DEFAULTS["lr"],
+                     batch: int = UCI_DEFAULTS["batch"],
                      dropout: float = None) -> ExperimentResult:
-    """Grid-search the dropout rate, then run the 20-split train/test protocol."""
-    tc = training.TrainConfig(
-        lr if lr is not None else UCI_DEFAULTS["lr"],
-        epochs if epochs is not None else UCI_DEFAULTS["epochs"],
-        batch if batch is not None else UCI_DEFAULTS["batch"],
-        seed,
-    )
+    """Grid-search the dropout rate (unless `dropout` is given), then run the
+    20-split train/test protocol."""
+    tc = training.TrainConfig(lr, epochs, batch, seed)
     if dropout is None:
         rate = data.grid_search_dropout(
             ds, arch, mode, head, tc, repeats=repeats, jobs=jobs, width=width
@@ -244,14 +235,11 @@ def run_uci_protocol(ds: data.Dataset, arch: str, mode: str, head: str, seed: in
 
 
 def cmd_uci(manifest_path, dataset: str, arch: str, mode: str, head: str, out_dir,
-            seed: int = 0, jobs: int = 1, repeats: int = 20, epochs=None, lr=None,
-            batch=None, dropout=None) -> ExperimentResult:
-    manifest = load_manifest(manifest_path)
-    ds = load_manifest_dataset(manifest, dataset)
-    result = run_uci_protocol(
-        ds, arch, mode, head, seed=seed, jobs=jobs, repeats=repeats,
-        epochs=epochs, lr=lr, batch=batch, dropout=dropout,
-    )
+            **protocol) -> ExperimentResult:
+    """`run_uci_protocol` on one manifest dataset, with its keywords; writes
+    uci_<tag>.json and uci_<tag>.csv."""
+    ds = load_manifest_dataset(load_manifest(manifest_path), dataset)
+    result = run_uci_protocol(ds, arch, mode, head, **protocol)
     os.makedirs(out_dir, exist_ok=True)
     tag = f"{dataset}_{arch}_{mode}_{result.head}"
     with open(os.path.join(out_dir, f"uci_{tag}.json"), "w", encoding="utf-8") as fh:
@@ -346,7 +334,7 @@ def _random_case(n, mode, rng, corr=0.45):
     return moments.MomentVector(mean, sigma * sigma, DIAG)
 
 
-LAYER_KINDS = (network.DENSE, network.DROPOUT, network.MP_GELU, network.RELU)
+LAYER_KINDS = tuple(network._FWD)
 
 
 def layer_oracle(kind: str, mode: str, cases: int, samples: int, rng, mc_seed):
@@ -529,14 +517,25 @@ def cmd_check(level: str = "quick", seed: int = 0) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _resolve(args, config_file: dict, key: str, default):
-    """Precedence: CLI flag > config file > default."""
-    val = getattr(args, key, None)
-    if val is not None:
-        return val
-    if key in config_file:
-        return config_file[key]
-    return default
+def _int_list(text: str) -> tuple:
+    """A comma-separated list of ints, such as `--widths 20,64`."""
+    return tuple(int(w) for w in text.split(","))
+
+
+def _config_flags(args) -> list:
+    """`--key=value` for every entry of the `--config` file that names a
+    flag of `args`' subcommand left out on the command line, so that its
+    parser converts and checks the value; a list value is joined with
+    commas.  Entries for other keys, and null entries, are ignored."""
+    with open(args.config, "r", encoding="utf-8") as fh:
+        cfg = json.load(fh)
+    if not isinstance(cfg, dict):
+        raise ValueError(f"{args.config}: config must be a JSON object")
+    unset = {key for key, value in vars(args).items() if value is None}
+    return [
+        f"--{key}=" + (",".join(map(str, value)) if isinstance(value, list) else str(value))
+        for key, value in cfg.items() if key in unset and value is not None
+    ]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -571,7 +570,7 @@ def build_parser() -> argparse.ArgumentParser:
     uci.add_argument("--dropout", type=float, help="skip grid search, use this rate")
 
     bench = sub.add_parser("benchmark", help="forward-pass timing + op counters")
-    bench.add_argument("--widths", help="comma-separated, default 20,64,256,1024")
+    bench.add_argument("--widths", type=_int_list, help="comma-separated, default 20,64,256,1024")
     bench.add_argument("--cov", choices=[FULL, DIAG])
     bench.add_argument("--reps", type=int)
     bench.add_argument("--seed", type=int)
@@ -584,43 +583,31 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = {}
-    if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = json.load(fh)
-    if args.command in ("toy", "uci") and not training.blas_pinned():
-        print("warning: BLAS is not pinned to one thread (threadpoolctl is not installed, "
-              "no OpenBLAS was found to pin, and OPENBLAS_NUM_THREADS / OMP_NUM_THREADS "
-              "is not 1); run times may vary with the thread count", file=sys.stderr)
+    """Precedence for every option: its flag, then its `--config` entry, then
+    the default of the command's signature (or, for `uci`, `--cov full`,
+    `--head 2` and `--jobs` all CPUs)."""
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
-        if args.command == "toy":
-            written = cmd_toy(
-                args.out,
-                seed=_resolve(args, cfg, "seed", 0),
-                epochs=_resolve(args, cfg, "epochs", None),
-                lr=_resolve(args, cfg, "lr", None),
-                batch=_resolve(args, cfg, "batch", None),
-                dropout=_resolve(args, cfg, "dropout", None),
-            )
-            for path in written:
+        if args.config:
+            args = parser.parse_args(argv + _config_flags(args))
+        command = args.command
+        opts = {key: value for key, value in vars(args).items()
+                if value is not None and key not in ("command", "config")}
+        if command in ("toy", "uci") and not training.blas_pinned():
+            print("warning: BLAS is not pinned to one thread (threadpoolctl is not installed, "
+                  "no OpenBLAS was found to pin, and OPENBLAS_NUM_THREADS / OMP_NUM_THREADS "
+                  "is not 1); run times may vary with the thread count", file=sys.stderr)
+        if command == "toy":
+            for path in cmd_toy(opts.pop("out"), **opts):
                 print(path)
             return 0
-        if args.command == "uci":
+        if command == "uci":
             result = cmd_uci(
-                args.manifest,
-                args.dataset,
-                args.arch,
-                _resolve(args, cfg, "cov", FULL),
-                HEAD_BY_FLAG[_resolve(args, cfg, "head", "2")],
-                args.out,
-                seed=_resolve(args, cfg, "seed", 0),
-                jobs=_resolve(args, cfg, "jobs", os.cpu_count() or 1),
-                repeats=_resolve(args, cfg, "repeats", 20),
-                epochs=_resolve(args, cfg, "epochs", None),
-                lr=_resolve(args, cfg, "lr", None),
-                batch=_resolve(args, cfg, "batch", None),
-                dropout=_resolve(args, cfg, "dropout", None),
+                opts.pop("manifest"), opts.pop("dataset"), opts.pop("arch"),
+                opts.pop("cov", FULL), HEAD_BY_FLAG[opts.pop("head", "2")], opts.pop("out"),
+                **{"jobs": os.cpu_count() or 1, **opts},
             )
             print(
                 f"{result.dataset} {result.arch} {result.covariance_mode} "
@@ -630,30 +617,16 @@ def main(argv=None) -> int:
                 f"runtime {result.runtime_s:.4f}s"
             )
             return 0
-        if args.command == "benchmark":
-            widths = _resolve(args, cfg, "widths", None)
-            widths = (
-                tuple(int(w) for w in widths.split(","))
-                if isinstance(widths, str)
-                else (tuple(widths) if widths else BENCH_WIDTHS)
-            )
-            rows = cmd_benchmark(
-                widths=widths,
-                mode=_resolve(args, cfg, "cov", FULL),
-                repetitions=_resolve(args, cfg, "reps", 50),
-                seed=_resolve(args, cfg, "seed", 0),
-                out_path=args.out,
-            )
+        if command == "benchmark":
+            names = {"cov": "mode", "reps": "repetitions", "out": "out_path"}
+            rows = cmd_benchmark(**{names.get(key, key): value for key, value in opts.items()})
             header = list(rows[0].keys())
             print(",".join(header))
             for row in rows:
                 print(",".join(str(row[k]) for k in header))
             return 0
-        if args.command == "check":
-            return cmd_check(
-                level=_resolve(args, cfg, "level", "quick"),
-                seed=_resolve(args, cfg, "seed", 0),
-            )
+        if command == "check":
+            return cmd_check(**opts)
     except (ValueError, FloatingPointError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -431,14 +431,9 @@ def _from_batch(out_mean, out_cov, mode: str) -> MomentVector:
 
 
 def lift_deterministic(x, mode: str = FULL) -> MomentVector:
-    """Wrap a deterministic feature vector as a zero-covariance MomentVector."""
+    """Wrap a deterministic feature vector as a zero-covariance MomentVector.
+    `MomentVector` checks the vector and the mode."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1 or x.size == 0:
-        raise MomentError("input must be a non-empty 1-d vector")
-    if not np.all(np.isfinite(x)):
-        raise MomentError("non-finite entries in input vector")
-    if mode not in MODES:
-        raise MomentError(f"unknown covariance mode {mode!r}")
     cov = np.zeros((x.size, x.size)) if mode == FULL else np.zeros(x.size)
     return MomentVector(x, cov, mode)
 

@@ -12,11 +12,12 @@ dense layer:
 The output head is either two units (predictive mean plus log-variance) or
 one unit (mean only).
 
-A layer kind is stated in four places: its forward kernel in `moments` and
+A layer kind is stated in five places: its forward kernel in `moments` and
 backward kernel in `training`, its `_FWD` entry below and its `_BWD` entry in
 `training` (dense, the one kind with parameters, is the backward loop's own
 branch), and its branch of `mc_oracle._sample_layer`.  `LayerSpec` accepts
-exactly the kinds `_FWD` knows.
+exactly the kinds `_FWD` knows, and `mpbnn check` oracle-checks each of them
+(`cli.LAYER_KINDS`).
 """
 
 from __future__ import annotations

@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import moments
 from .moments import FULL, MomentError, MomentVector
 from .network import HEAD_HETEROSCEDASTIC, HEAD_HOMOSCEDASTIC
 
@@ -45,10 +46,11 @@ class PredictiveMoments:
 
 
 def _head_parts(mean, cov, mode):
-    """Split batched 2-output head moments into per-row vectors; Σ12 is the
-    scalar 0.0 in diag mode."""
+    """Split batched 2-output head moments, in the moment kernels' layout
+    ((B, h) means, (h, h, B) or (B, h) covariances), into per-row vectors;
+    Σ12 is the scalar 0.0 in diag mode."""
     if mode == FULL:
-        return mean[:, 0], mean[:, 1], cov[:, 0, 0], cov[:, 0, 1], cov[:, 1, 1]
+        return mean[:, 0], mean[:, 1], cov[0, 0], cov[0, 1], cov[1, 1]
     return mean[:, 0], mean[:, 1], cov[:, 0], 0.0, cov[:, 1]
 
 
@@ -56,7 +58,7 @@ def _bad_row(ell, mean, cov, mode) -> str:
     """Where a non-finite log-likelihood first appears: its row and that
     row's head moments.  Built only when the kernel is about to raise."""
     row = int(np.flatnonzero(~np.isfinite(ell))[0])
-    var = np.diagonal(cov[row]) if mode == FULL else cov[row]
+    var = moments._diag(cov)[row] if mode == FULL else cov[row]
     parts = [f"m{k + 1}={float(mean[row, k])!r}" for k in range(mean.shape[1])]
     parts += [f"s{k + 1}{k + 1}={float(var[k])!r}" for k in range(mean.shape[1])]
     return f" at row {row} ({', '.join(parts)})"
@@ -91,10 +93,10 @@ def _ell2_bwd(ctx, g_ell):
     d_s22 = g_ell * (-0.25 * quad * inv_scale)
     if mode == FULL:
         # Symmetric adjoint: ∂/∂Σ12 splits evenly over the two entries.
-        g_cov = np.empty((batch, 2, 2))
-        g_cov[:, 0, 0] = d_s11
-        g_cov[:, 0, 1] = g_cov[:, 1, 0] = 0.5 * d_s12
-        g_cov[:, 1, 1] = d_s22
+        g_cov = np.empty((2, 2, batch))
+        g_cov[0, 0] = d_s11
+        g_cov[0, 1] = g_cov[1, 0] = 0.5 * d_s12
+        g_cov[1, 1] = d_s22
     else:
         g_cov = np.stack([d_s11, d_s22], axis=1)
     return g_mean, g_cov
@@ -102,7 +104,7 @@ def _ell2_bwd(ctx, g_ell):
 
 def _ell1_fwd(mean, cov, y, mode):
     m1 = mean[:, 0]
-    s11 = cov[:, 0, 0] if mode == FULL else cov[:, 0]
+    s11 = cov[0, 0] if mode == FULL else cov[:, 0]
     var = s11 + VARIANCE_FLOOR
     resid = y - m1
     ell = -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
@@ -115,15 +117,10 @@ def _ell1_fwd(mean, cov, y, mode):
 
 def _ell1_bwd(ctx, g_ell):
     resid, var, mode, shape = ctx
-    batch = shape[0]
     g_mean = np.zeros(shape)
     g_mean[:, 0] = g_ell * (resid / var)
     d_s11 = g_ell * (-0.5 * (1.0 / var - resid * resid / (var * var)))
-    if mode == FULL:
-        g_cov = np.zeros((batch, 1, 1))
-        g_cov[:, 0, 0] = d_s11
-    else:
-        g_cov = d_s11[:, None]
+    g_cov = d_s11[None, None] if mode == FULL else d_s11[:, None]
     return g_mean, g_cov
 
 
@@ -158,14 +155,14 @@ def _check_head(head_mv: MomentVector, dim: int, op: str):
 def expected_log_likelihood(head_mv: MomentVector, y: float) -> float:
     """Closed-form E[log N(y | h1, e^{h2})] for a 2-output Gaussian head."""
     _check_head(head_mv, 2, "expected_log_likelihood")
-    ell, _ = _ell2_fwd(head_mv.mean[None], head_mv.cov[None], np.array([y]), head_mv.mode)
+    ell, _ = _ell2_fwd(*moments._as_batch(head_mv), np.array([y]), head_mv.mode)
     return float(ell[0])
 
 
 def expected_log_likelihood_1out(head_mv: MomentVector, y: float) -> float:
     """Gaussian log-density log N(y | E[h1], Σ11 + floor): epistemic variance only."""
     _check_head(head_mv, 1, "expected_log_likelihood_1out")
-    ell, _ = _ell1_fwd(head_mv.mean[None], head_mv.cov[None], np.array([y]), head_mv.mode)
+    ell, _ = _ell1_fwd(*moments._as_batch(head_mv), np.array([y]), head_mv.mode)
     return float(ell[0])
 
 

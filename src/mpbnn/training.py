@@ -22,9 +22,10 @@ the same loss, bit for bit, from the forward pass alone; it is what the
 finite-difference probes of `cli.fd_check` call.  Both take their input
 checks and head objective from one place (`_batch`, `_head_loss`).
 
-`train` runs with BLAS pinned to one thread (`single_thread_blas`):
-through threadpoolctl when it is installed, else through the thread-count
-functions of each OpenBLAS loaded in the process, found once on first use.
+`train` and `evaluate_model` run with BLAS pinned to one thread
+(`single_thread_blas`): through threadpoolctl when it is installed, else
+through the thread-count functions of each OpenBLAS loaded in the process,
+found once on first use.
 """
 
 from __future__ import annotations
@@ -336,16 +337,13 @@ def _batch(xs, ys):
 def _head_loss(config, mean, cov, ys):
     """Mean negative expected log-likelihood of a pass's head moments.
 
-    Returns (loss, the head's objective backward kernel, its context).  The
-    objective kernels take the head's covariance as (B, h, h), so a full-mode
-    one is transposed in."""
+    Returns (loss, the head's objective backward kernel, its context)."""
     mode = config.covariance_mode
-    head_cov = cov.transpose(2, 0, 1) if mode == FULL else cov
     if config.head == HEAD_HETEROSCEDASTIC:
-        ell, octx = objective._ell2_fwd(mean, head_cov, ys, mode)
+        ell, octx = objective._ell2_fwd(mean, cov, ys, mode)
         bwd = objective._ell2_bwd
     else:
-        ell, octx = objective._ell1_fwd(mean, head_cov, ys, mode)
+        ell, octx = objective._ell1_fwd(mean, cov, ys, mode)
         bwd = objective._ell1_bwd
     loss = -float(np.mean(ell))
     if not math.isfinite(loss):
@@ -371,15 +369,12 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
     batch = xs.shape[0]
 
     # Full-mode (n, n, B) arrays come from the thread's buffer pool while the
-    # step is open; nothing returned below refers to them.  The head's
-    # full-mode covariance adjoint comes back (B, h, h) and is transposed out.
+    # step is open; nothing returned below refers to them.
     moments._open_step()
     try:
         mean, cov, tape = _forward_tape(config, params, xs)
         loss, head_bwd, octx = _head_loss(config, mean, cov, ys)
         g_mean, g_cov = head_bwd(octx, np.full(batch, -1.0 / batch))
-        if mode == FULL:
-            g_cov = np.ascontiguousarray(g_cov.transpose(1, 2, 0))
 
         grads = GradientSet([None] * len(params.weights), [None] * len(params.biases))
         for layer_i, kind, dense_i, ctx in reversed(tape):
@@ -451,7 +446,8 @@ def evaluate_model(config: ModelConfig, params: ParameterSet, xs, ys):
     """Mean predictive NLL and RMSE over a dataset (standardized space)."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    mean, cov = forward_batch(config, params, xs)
+    with single_thread_blas():
+        mean, cov = forward_batch(config, params, xs)
     pm, pv = objective._predictive_batch(mean, cov, config.head, config.covariance_mode)
     nll = 0.5 * (objective.LOG_2PI + np.log(pv) + (ys - pm) ** 2 / pv)
     return {

@@ -320,6 +320,56 @@ class TestMainWiring:
         assert code == 0
         assert (out1 / "toy_relu.csv").read_bytes() == (out2 / "toy_relu.csv").read_bytes()
 
+    def test_config_entries_parse_as_flags(self, tmp_path):
+        """A config value is converted by its flag's parser: "5" is the int 5.
+        A key that names no flag of the subcommand, or a null, is ignored."""
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"epochs": "5", "seed": 1, "level": "bogus", "lr": None}))
+        out1, out2 = tmp_path / "o1", tmp_path / "o2"
+        assert cli.main(["--config", str(cfg), "toy", "--out", str(out1)]) == 0
+        assert cli.main(["toy", "--out", str(out2), "--seed", "1", "--epochs", "5"]) == 0
+        for name in ("toy_train.csv", "toy_mp_gelu.csv", "toy_relu.csv"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("widths, expected", [([8, 12], ["8", "12"]), (20, ["20"])])
+    def test_benchmark_widths_from_config(self, tmp_path, capsys, widths, expected):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"widths": widths, "cov": "diag", "reps": 2}))
+        assert cli.main(["--config", str(cfg), "benchmark"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("width,mode,")
+        assert [line.split(",")[:2] for line in lines[1:]] == [[w, "diag"] for w in expected]
+
+    @pytest.mark.parametrize("text, message", [
+        (None, "No such file"),
+        ("{epochs: 5", "Expecting property name"),
+        ("[1, 2]", "config must be a JSON object"),
+    ])
+    def test_unusable_config_file_is_an_error(self, tmp_path, capsys, text, message):
+        cfg = tmp_path / "cfg.json"
+        if text is not None:
+            cfg.write_text(text)
+        code = cli.main(["--config", str(cfg), "toy", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv, entry, message", [
+        (["toy", "--out", "unused"], {"epochs": "five"},
+         "argument --epochs: invalid int value: 'five'"),
+        (["toy", "--out", "unused"], {"lr": "fast"}, "argument --lr: invalid float value: 'fast'"),
+        (["benchmark"], {"widths": [8, "x"]}, "argument --widths: invalid"),
+        (["check"], {"level": "bogus"}, "argument --level: invalid choice: 'bogus'"),
+    ])
+    def test_config_value_rejected_as_its_flag_would_be(self, tmp_path, capsys, argv, entry,
+                                                        message):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(entry))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--config", str(cfg), *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_unpinned_blas_warns_once(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(training, "threadpool_limits", None)
         monkeypatch.setattr(training, "_openblas_threads", lambda: ())

@@ -59,7 +59,8 @@ class TestExpectedLogLikelihood:
         names the first bad row and its moments in both kernels."""
         mean = np.array([[0.1, 0.2], [0.5, -800.0], [0.0, -900.0]])
         var = np.array([[0.3, 0.4], [0.25, 0.5], [0.1, 0.1]])
-        for mode, cov in ((m.DIAG, var), (m.FULL, np.stack([np.diag(v) for v in var]))):
+        # Full-mode covariances batch-last, (h, h, B), as the moment kernels give them.
+        for mode, cov in ((m.DIAG, var), (m.FULL, np.stack([np.diag(v) for v in var], -1))):
             with pytest.raises(FloatingPointError, match=r"non-finite expected log-likelihood "
                                r"at row 1 \(m1=0\.5, m2=-800\.0, s11=0\.25, s22=0\.5\)$"):
                 obj._ell2_fwd(mean, cov, np.zeros(3), mode)

@@ -1,5 +1,6 @@
 """Gradient machinery and the SGD loop."""
 
+import contextlib
 import json
 import os
 import subprocess
@@ -445,6 +446,31 @@ class TestEvaluateModel:
         assert np.isfinite(res["nll"]) and np.isfinite(res["rmse"])
         assert res["pred_var"].shape == (12,)
         assert np.all(res["pred_var"] > 0)
+
+    def test_forward_pass_runs_with_blas_pinned(self, monkeypatch):
+        pinned, inside = [False], []
+        orig_pin, orig_forward = tr.single_thread_blas, tr.forward_batch
+
+        @contextlib.contextmanager
+        def recording_pin():
+            with orig_pin():
+                pinned[0] = True
+                try:
+                    yield
+                finally:
+                    pinned[0] = False
+
+        def recording_forward(*args):
+            inside.append(pinned[0])
+            return orig_forward(*args)
+
+        monkeypatch.setattr(tr, "single_thread_blas", recording_pin)
+        monkeypatch.setattr(tr, "forward_batch", recording_forward)
+        config = net.build_mp_gelu_model(2, 5, 0.1)
+        rng = np.random.default_rng(8)
+        tr.evaluate_model(config, net.init_parameters(config, 0),
+                          rng.standard_normal((4, 2)), rng.standard_normal(4))
+        assert inside == [True]
 
 
 class TestSingleThreadBlas:
