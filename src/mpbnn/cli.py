@@ -431,9 +431,14 @@ def fd_check(config, params, x, y):
     """Analytic gradients of one batch against central differences (step
     1e-5).  A coordinate violates when its relative error is 1e-4 or more
     or, where |gradient| < 1e-3, its absolute error is 1e-7 or more.
-    The probes need only the loss (`training.loss`).  Returns (coordinates,
-    worst relative error, violations as (array, layer, index, analytic, fd))."""
+    The probes need only the loss (`training.loss`), and those of dense
+    layer li resume at li from a state recorded once by an untaped pass (see
+    `network._run_layers`): the layers below li cannot change.  Returns
+    (coordinates, worst relative error, violations as (array, layer, index,
+    analytic, fd))."""
     _, grads = training.loss_and_gradients(config, params, x, y)
+    states = []
+    network._run_layers(config, params, np.asarray(x, dtype=float), states=states)
     h = 1e-5
     coordinates, worst, violations = 0, 0.0, []
     for name in ("weights", "biases"):
@@ -441,9 +446,9 @@ def fd_check(config, params, x, y):
             for idx in np.ndindex(w.shape):
                 orig = w[idx]
                 w[idx] = orig + h
-                lp = training.loss(config, params, x, y)
+                lp = training.loss(config, params, x, y, resume=states[li])
                 w[idx] = orig - h
-                lm = training.loss(config, params, x, y)
+                lm = training.loss(config, params, x, y, resume=states[li])
                 w[idx] = orig
                 fd = (lp - lm) / (2.0 * h)
                 an = getattr(grads, name)[li][idx]
@@ -528,7 +533,10 @@ def _config_flags(args) -> list:
     parser converts and checks the value; a list value is joined with
     commas.  Entries for other keys, and null entries, are ignored."""
     with open(args.config, "r", encoding="utf-8") as fh:
-        cfg = json.load(fh)
+        try:
+            cfg = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{args.config}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ValueError(f"{args.config}: config must be a JSON object")
     unset = {key for key, value in vars(args).items() if value is None}

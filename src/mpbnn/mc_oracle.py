@@ -6,6 +6,10 @@ gates, the gated activation masks with per-unit rates computed once from
 the *input statistics* (never from the realized draws, which is what makes
 the gates independent of the input by construction), and the rectifier
 clips at zero.  Used as a test oracle only, never for inference.
+
+Each call works in place on the one draw matrix it owns: `sample_input`
+returns fresh memory, and `_sample_layer` and `_empirical` consume their
+draws.  Each in-place step is the IEEE operation of the out-of-place form.
 """
 
 from __future__ import annotations
@@ -44,24 +48,28 @@ def sample_input(mv: MomentVector, samples: int, rng) -> np.ndarray:
     Full covariances are factorized by eigendecomposition; eigenvalues in
     (-1e-10, 0) clamp to zero, anything lower is a hard error.
     """
+    if samples < 1000:
+        raise ValueError(f"samples must be >= 1000, got {samples}")
     if mv.mode == FULL:
         evals, evecs = np.linalg.eigh(np.asarray(mv.cov))
         if np.any(evals < VAR_CLAMP):
             raise MomentError(f"input covariance not PSD (min eigenvalue {evals.min():.3e})")
         evals = np.maximum(evals, 0.0)
         factor = evecs * np.sqrt(evals)
-        z = rng.standard_normal((samples, mv.dim))
-        return mv.mean + z @ factor.T
-    z = rng.standard_normal((samples, mv.dim))
-    return mv.mean + z * np.sqrt(np.asarray(mv.cov))
+        draws = rng.standard_normal((samples, mv.dim)) @ factor.T
+    else:
+        draws = rng.standard_normal((samples, mv.dim))
+        draws *= np.sqrt(np.asarray(mv.cov))
+    draws += mv.mean
+    return draws
 
 
 def _empirical(draws: np.ndarray) -> McEstimate:
     s = draws.shape[0]
     # Deviations from a draw are exactly 0 on zero-spread columns; deviations
     # from the mean are not, because the mean of equal values can round.
-    shift = draws[0]
-    centered = draws - shift
+    shift = draws[0].copy()
+    centered = np.subtract(draws, shift, out=draws)
     offset = centered.mean(axis=0)
     mean = shift + offset
     centered -= offset
@@ -69,7 +77,7 @@ def _empirical(draws: np.ndarray) -> McEstimate:
     cov = gram / (s - 1)
     se_mean = np.sqrt(np.diagonal(cov) / s)
     # Var[(c_i c_j)] / s via second moments of the centered products.
-    sq = centered * centered
+    sq = np.multiply(centered, centered, out=centered)
     second = sq.T @ sq / s
     first = gram / s
     var_prod = np.maximum(second - first * first, 0.0)
@@ -83,16 +91,18 @@ def _sample_layer(layer: LayerSpec, draws, rng, mean, var, wb):
     activation's rates come from; `wb` is a dense layer's (weights, bias)."""
     if layer.kind == DENSE:
         w, b = wb
-        return draws @ w.T + b
+        out = draws @ w.T
+        out += b
+        return out
     if layer.kind == DROPOUT:
         keep = rng.random(draws.shape) < (1.0 - layer.rate)
-        return draws * keep
+        return np.multiply(draws, keep, out=draws)
     if layer.kind == MP_GELU:
         rates, _, _, _ = _gate_rates(mean, var, "mc oracle")
         keep = rng.random(draws.shape) < (1.0 - rates[0])
-        return draws * keep
+        return np.multiply(draws, keep, out=draws)
     if layer.kind == RELU:
-        return np.maximum(draws, 0.0)
+        return np.maximum(draws, 0.0, out=draws)
     raise ValueError(f"unknown layer kind {layer.kind!r}")
 
 
@@ -105,8 +115,6 @@ def mc_layer_moments(
     bias=None,
 ) -> McEstimate:
     """Empirical output moments of one layer applied to Gaussian draws."""
-    if samples < 1000:
-        raise ValueError(f"samples must be >= 1000, got {samples}")
     rng = np.random.default_rng(seed)
     draws = sample_input(mv, samples, rng)
     wb = None
@@ -130,10 +138,16 @@ def mc_expected_ll(head_mv: MomentVector, y: float, samples: int, seed):
     draws = sample_input(head_mv, samples, rng)
     h1 = draws[:, 0]
     h2 = draws[:, 1]
-    vals = -0.5 * (np.log(2.0 * np.pi) + h2 + (y - h1) ** 2 * np.exp(-h2))
-    dev = vals - vals[0]
-    est = float(vals[0] + dev.mean())
-    se = float(dev.std(ddof=1) / np.sqrt(samples))
+    vals = np.subtract(y, h1)
+    np.square(vals, out=vals)
+    scale = np.negative(h2)
+    vals *= np.exp(scale, out=scale)
+    vals += np.add(h2, np.log(2.0 * np.pi), out=scale)
+    vals *= -0.5
+    first = vals[0]
+    vals -= first  # the deviations from the first draw
+    est = float(first + vals.mean())
+    se = float(vals.std(ddof=1) / np.sqrt(samples))
     return est, se
 
 

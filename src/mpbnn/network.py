@@ -209,7 +209,8 @@ def init_parameters(config: ModelConfig, seed) -> ParameterSet:
     return ParameterSet(weights, biases)
 
 
-def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=None):
+def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=None,
+                states=None, resume=None):
     """The moment pass over a (B, Q) batch of deterministic inputs.
 
     The covariance starts as per-unit variances (see `moments`).  With a
@@ -224,15 +225,21 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     W Σ of its forward pass instead (see `training`).  (Diag-mode arrays
     are not pooled, so that release is a no-op there.)  A full-mode
     covariance comes back batch-last (see `moments`).
+
+    With a `states` list, the pass appends (layer index, dense index, mean,
+    cov) before each dense layer, and from `resume`, one such state, it
+    runs on bit for bit while no parameter below that layer changes (the
+    kernels never write to their inputs).  States come from an untaped
+    pass: a taped pass's pooled arrays are lent again once its step closes.
     """
     mode = config.covariance_mode
-    mean = xs
-    cov = np.zeros(mean.shape)
-    dense_i = 0
-    for layer_i, layer in enumerate(config.layers):
+    first, dense_i, mean, cov = resume or (0, 0, xs, np.zeros(xs.shape))
+    for layer_i, layer in enumerate(config.layers[first:], first):
         kind = layer.kind
         wb = None
         if kind == DENSE:
+            if states is not None:
+                states.append((layer_i, dense_i, mean, cov))
             wb = (params.weights[dense_i], params.biases[dense_i])
             dense_i += 1
         cov_in = cov

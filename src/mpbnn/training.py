@@ -351,11 +351,12 @@ def _head_loss(config, mean, cov, ys):
     return loss, bwd, octx
 
 
-def loss(config: ModelConfig, params: ParameterSet, xs, ys) -> float:
+def loss(config: ModelConfig, params: ParameterSet, xs, ys, resume=None) -> float:
     """The loss of `loss_and_gradients`, bit for bit, from the forward pass
-    alone: no tape, no backward pass and no pooled step."""
+    alone: no tape, no backward pass and no pooled step.  With `resume`, a
+    state of `_run_layers` for this batch, the pass starts at its layer."""
     xs, ys = _batch(xs, ys)
-    mean, cov = _run_layers(config, params, xs)
+    mean, cov = _run_layers(config, params, xs, resume=resume)
     return _head_loss(config, mean, cov, ys)[0]
 
 

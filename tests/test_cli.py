@@ -353,6 +353,7 @@ class TestMainWiring:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err and "Traceback" not in err
+        assert str(cfg) in err
 
     @pytest.mark.parametrize("argv, entry, message", [
         (["toy", "--out", "unused"], {"epochs": "five"},

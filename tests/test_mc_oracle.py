@@ -1,8 +1,11 @@
 """The MC oracle itself: semantics, standard-error behavior, degeneracies."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from mpbnn import cli
 from mpbnn import moments as m
 from mpbnn.mc_oracle import mc_expected_ll, mc_layer_moments, sample_input
 from mpbnn.network import LayerSpec, DENSE, MP_GELU, RELU
@@ -27,6 +30,14 @@ class TestSampling:
         mv = m.MomentVector(np.zeros(2), np.ones(2), m.DIAG)
         with pytest.raises(ValueError):
             mc_layer_moments(LayerSpec(RELU), mv, 100, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, 1, 999])
+    def test_expected_ll_minimum_sample_count_enforced(self, samples):
+        # One sample would give a NaN standard error, which a deviation
+        # test in standard errors would pass silently.
+        mv = m.MomentVector(np.zeros(2), np.ones(2), m.DIAG)
+        with pytest.raises(ValueError, match="samples must be >= 1000"):
+            mc_expected_ll(mv, 0.0, samples, seed=0)
 
 
 class TestLayerSemantics:
@@ -105,3 +116,67 @@ class TestExpectedLlOracle:
         mv = m.MomentVector(np.zeros(3), np.ones(3), m.DIAG)
         with pytest.raises(m.MomentError):
             mc_expected_ll(mv, 0.0, 10**4, seed=0)
+
+
+def _layer_case(kind, mode, seed, n):
+    """A `cli._random_case` input and the `mc_layer_moments` arguments for it."""
+    rng = np.random.default_rng(seed)
+    mv = cli._random_case(n, mode, rng)
+    kw = {}
+    if kind == DENSE:
+        kw = {"weights": rng.standard_normal((2, n)), "bias": rng.standard_normal(2)}
+    return LayerSpec(kind, in_dim=n, out_dim=2, rate=0.13), mv, kw
+
+
+class TestInPlace:
+    """Each call works on the one draw matrix it owns, and the estimates are
+    those of the out-of-place arithmetic."""
+
+    # One estimate per kind x mode at 10^4 draws, recorded before the oracle
+    # worked in place: (mean[0], cov[0, -1], standard_error_cov[-1, -1]).
+    PINNED = {
+        ("dense", "full"): (3.48133895504326, 1.8165386531519832, 0.013515822465752355),
+        ("dropout", "full"): (1.5402707075481337, 0.18747000464461283, 0.019718455867939605),
+        ("mp_gelu", "full"): (0.5233832963115441, 0.09470414724720881, 0.01362202586453909),
+        ("relu", "full"): (0.24908762138649007, -0.006194303084416981, 0.0020901592493209734),
+        ("dense", "diag"): (1.319461511000613, -2.932007151195948, 0.08983877161635294),
+        ("dropout", "diag"): (1.536987901568207, -0.03244407048068204, 0.019710545185008404),
+        ("mp_gelu", "diag"): (0.5292578177502022, -0.018473226459288956, 0.013414956114818086),
+        ("relu", "diag"): (0.24244137171818164, -0.0005291353807245705, 0.0018821081292126373),
+    }
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    @pytest.mark.parametrize("kind", cli.LAYER_KINDS)
+    def test_estimates_pinned(self, kind, mode):
+        layer, mv, kw = _layer_case(kind, mode, (5, cli.LAYER_KINDS.index(kind)), 3)
+        est = mc_layer_moments(layer, mv, 10**4, 11, **kw)
+        got = (est.mean[0], est.cov[0, -1], est.standard_error_cov[-1, -1])
+        np.testing.assert_allclose(got, self.PINNED[kind, mode], rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    @pytest.mark.parametrize("kind", cli.LAYER_KINDS)
+    def test_layer_call_allocates_no_extra_draw_matrix(self, kind, mode):
+        samples, n = 10**5, 4
+        layer, mv, kw = _layer_case(kind, mode, 0, n)
+        mc_layer_moments(layer, mv, 1000, 0, **kw)  # any lazy set-up first
+        tracemalloc.start()
+        try:
+            mc_layer_moments(layer, mv, samples, 1, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The input draws, plus a dropout or gate layer's uniforms and mask.
+        assert peak <= 2.25 * samples * n * 8
+
+    def test_expected_ll_allocates_no_extra_draw_matrix(self):
+        samples = 10**5
+        mv = m.MomentVector(np.array([0.3, -0.2]), np.array([[0.5, 0.1], [0.1, 0.3]]), m.FULL)
+        mc_expected_ll(mv, 0.4, 1000, 0)
+        tracemalloc.start()
+        try:
+            mc_expected_ll(mv, 0.4, samples, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # The draws, two (samples,) buffers and the temporary of `std`.
+        assert peak <= 2.6 * samples * 2 * 8

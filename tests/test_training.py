@@ -211,6 +211,70 @@ class TestLoss:
         assert str(got.value) == str(want.value)
 
 
+class TestResume:
+    """A pass resumed from a state recorded before a dense layer gives the
+    whole pass's loss, and `fd_check` probes resume from such states."""
+
+    @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    @pytest.mark.parametrize("head", [net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC])
+    def test_resume_is_bit_identical(self, arch, mode, head):
+        rng = np.random.default_rng(23)
+        config = net.build_model(arch, 13, 20, 0.05, mode, head)
+        params = net.init_parameters(config, 3)
+        dense_layers = [i for i, layer in enumerate(config.layers) if layer.kind == net.DENSE]
+        for batch in (1, 3, 40):
+            x, y = rng.standard_normal((batch, 13)), rng.standard_normal(batch)
+            states = []
+            recorded = net._run_layers(config, params, x, states=states)
+            plain = net._run_layers(config, params, x)
+            for got, want in zip(recorded, plain):
+                np.testing.assert_array_equal(got, want)
+            assert [s[:2] for s in states] == [(i, d) for d, i in enumerate(dense_layers)]
+            whole = tr.loss(config, params, x, y)
+            for li, state in enumerate(states):
+                assert tr.loss(config, params, x, y, resume=state) == whole
+                # A parameter of the resumed layer may change; those below it may not.
+                params.weights[li][0, 0] += 1e-3
+                assert tr.loss(config, params, x, y, resume=state) == tr.loss(config, params, x, y)
+                params.weights[li][0, 0] -= 1e-3
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_fd_check_keeps_its_states_and_its_results(self, monkeypatch, mode):
+        rng = np.random.default_rng(29)
+        x, y = rng.standard_normal((3, 4)), rng.standard_normal(3)
+        for arch in (net.ARCH_MP_GELU, net.ARCH_RELU):
+            config = net.build_model(arch, 4, 6, 0.2, mode, net.HEAD_HETEROSCEDASTIC)
+            params = net.init_parameters(config, 0)
+            recorded = []
+            run_layers = net._run_layers
+
+            def recording(*args, states=None, **kwargs):
+                out = run_layers(*args, states=states, **kwargs)
+                if states is not None:
+                    recorded.append((states, [(s[2].copy(), s[3].copy()) for s in states]))
+                return out
+
+            monkeypatch.setattr(net, "_run_layers", recording)
+            resumed = cli.fd_check(config, params, x, y)
+            monkeypatch.undo()
+            (states, copies), = recorded
+            assert len(states) == len(params.weights)
+            for state, (mean, cov) in zip(states, copies):
+                np.testing.assert_array_equal(state[2], mean)
+                np.testing.assert_array_equal(state[3], cov)
+            # Every probe resumes from one of the states; the whole passes
+            # give the same results.
+            loss, resumes = tr.loss, []
+            monkeypatch.setattr(
+                tr, "loss", lambda *args, resume=None: resumes.append(resume) or loss(*args)
+            )
+            assert cli.fd_check(config, params, x, y) == resumed
+            monkeypatch.undo()
+            assert len(resumes) == 2 * resumed[0]
+            assert {r[:2] for r in resumes} == {s[:2] for s in states}
+
+
 class TestGuardedPaths:
     """A batch with no unit below SIGMA_FLOOR runs the gates' plain formulas
     and carries det=None; one such unit anywhere sends the whole batch
