@@ -211,17 +211,19 @@ def run_uci_protocol(ds: data.Dataset, arch: str, mode: str, head: str, seed: in
                      batch: int = UCI_DEFAULTS["batch"],
                      dropout: float = None) -> ExperimentResult:
     """Grid-search the dropout rate (unless `dropout` is given), then run the
-    20-split train/test protocol."""
+    20-split train/test protocol.  Both phases share one pool of workers."""
     tc = training.TrainConfig(lr, epochs, batch, seed)
-    if dropout is None:
-        rate = data.grid_search_dropout(
-            ds, arch, mode, head, tc, repeats=repeats, jobs=jobs, width=width
-        )
-    else:
-        rate = dropout
-    splits = data.make_splits(ds, repeats=repeats, seed=seed)
-    tasks = data.split_tasks(ds, splits, data.FINAL, arch, mode, head, width, rate, tc, (2,))
-    outcomes = data.run_tasks(data.run_split, tasks, jobs)
+    largest_phase = repeats * (len(data.GRID_RATES) if dropout is None else 1)
+    with data.task_pool(jobs, largest_phase):
+        if dropout is None:
+            rate = data.grid_search_dropout(
+                ds, arch, mode, head, tc, repeats=repeats, jobs=jobs, width=width
+            )
+        else:
+            rate = dropout
+        splits = data.make_splits(ds, repeats=repeats, seed=seed)
+        tasks = data.split_tasks(ds, splits, data.FINAL, arch, mode, head, width, rate, tc, (2,))
+        outcomes = data.run_tasks(data.run_split, tasks, jobs)
     nll = [o[0] for o in outcomes]
     rmse = [o[1] for o in outcomes]
 

@@ -8,10 +8,16 @@ Both phases train and score through one runner, `run_split`.  It fits the
 feature and label statistics on the rows it trains on (the train portion in
 the grid search, train+val in the final phase), and the held-out rows reuse
 them.  Metrics are reported in standardized label space.
+
+A protocol run maps its tasks over one process pool, `task_pool`, sized to
+its larger phase and never to more workers than that phase has tasks; the
+pool closes, its workers joined, before the run times its test pass.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import csv
 import dataclasses
 import os
@@ -186,6 +192,8 @@ def make_splits(
     seed: int = 0,
 ) -> list:
     """Independent random splits of the rows into train, val and test."""
+    if repeats < 1:
+        raise ValueError(f"repeats must be >= 1, got {repeats}")
     n = ds.n
     n_test = int(round(n * test_frac))
     n_rest = n - n_test
@@ -271,15 +279,40 @@ def run_split(task: SplitTask):
     return res["nll"], res["rmse"], params
 
 
-def run_tasks(worker, tasks, jobs: int = 1):
-    """Map tasks in order, serially or over a process pool."""
-    if jobs <= 1 or len(tasks) <= 1:
-        return [worker(t) for t in tasks]
+# The pool of the open `task_pool`, if any.
+_POOL = contextvars.ContextVar("task_pool", default=None)
+
+
+@contextlib.contextmanager
+def task_pool(jobs: int, tasks: int):
+    """Hold one process pool of min(jobs, tasks) workers open for the
+    `run_tasks` calls inside; on exit it closes and joins its workers.
+    Fewer than 2 workers, or a pool already open, adds none."""
+    workers = min(jobs, tasks)
+    if workers <= 1 or _POOL.get() is not None:
+        yield
+        return
     # Look the OpenBLAS libraries up here, once, so that forked workers
     # inherit the lookup instead of each repeating it (about 1 ms).
     training._openblas_threads()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(worker, tasks))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        token = _POOL.set(pool)
+        try:
+            yield
+        finally:
+            _POOL.reset(token)
+
+
+def run_tasks(worker, tasks, jobs: int = 1):
+    """Map tasks in order, serially or over a process pool: the open
+    `task_pool`'s, else one of min(jobs, len(tasks)) workers for this call.
+    `cli.run_uci_protocol` holds one pool, sized to its larger phase, over
+    the grid search and the final splits, and closes it before it times
+    the test pass."""
+    if jobs <= 1 or len(tasks) <= 1:
+        return [worker(t) for t in tasks]
+    with task_pool(jobs, len(tasks)):
+        return list(_POOL.get().map(worker, tasks))
 
 
 def grid_search_dropout(

@@ -42,14 +42,18 @@ class McEstimate:
             raise ValueError("need at least 2 samples")
 
 
+def _check_samples(samples: int):
+    if samples < 1000:
+        raise ValueError(f"samples must be >= 1000, got {samples}")
+
+
 def sample_input(mv: MomentVector, samples: int, rng) -> np.ndarray:
     """Draw (samples, n) Gaussians with the MomentVector's moments.
 
     Full covariances are factorized by eigendecomposition; eigenvalues in
     (-1e-10, 0) clamp to zero, anything lower is a hard error.
     """
-    if samples < 1000:
-        raise ValueError(f"samples must be >= 1000, got {samples}")
+    _check_samples(samples)
     if mv.mode == FULL:
         evals, evecs = np.linalg.eigh(np.asarray(mv.cov))
         if np.any(evals < VAR_CLAMP):
@@ -158,6 +162,7 @@ def mc_network_moments(config, params, x, samples: int, seed) -> McEstimate:
     masks, and the gated activation's rates come from the *analytic* moments
     of its input at that depth.
     """
+    _check_samples(samples)
     rng = np.random.default_rng(seed)
     x = np.asarray(x, dtype=float)
     draws = np.tile(x, (samples, 1))

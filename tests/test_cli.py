@@ -1,8 +1,10 @@
 """CLI subcommands: outputs, schemas, determinism, self-check wiring."""
 
 import json
+import multiprocessing
 import os
 import re
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -192,6 +194,71 @@ class TestUciCommand:
         )
         assert seen["rates"] == (0.005, 0.01, 0.05, 0.1)
         assert result.dropout_rate == 0.005
+
+
+class TestTaskPool:
+    """`run_uci_protocol` maps both phases over one pool, never of more
+    workers than a phase has tasks, and leaves no worker behind."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        """The worker counts of the pools `data` starts, in order."""
+        started = []
+
+        class Recorder(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                started.append(max_workers)
+                super().__init__(max_workers=max_workers)
+
+        monkeypatch.setattr(data, "ProcessPoolExecutor", Recorder)
+        return started
+
+    @pytest.mark.parametrize("jobs, dropout, workers", [
+        (2, None, [2]),     # one pool for the grid search and the final phase
+        (3, None, [3]),     # 8 grid-search tasks
+        (3, 0.01, [2]),     # 2 final tasks
+        (1, None, []),
+    ])
+    def test_one_pool_capped_at_the_larger_phase(self, pools, jobs, dropout, workers):
+        cli.run_uci_protocol(synth_dataset(), "relu", m.DIAG, "heteroscedastic2", jobs=jobs,
+                             repeats=2, epochs=2, batch=32, dropout=dropout)
+        assert pools == workers
+        assert multiprocessing.active_children() == []
+
+    def test_run_tasks_alone_caps_its_workers(self, pools):
+        assert data.run_tasks(abs, [-1, -2], jobs=5) == [1, 2]
+        assert data.run_tasks(abs, [-3], jobs=5) == [3]
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("dropout, where", [
+        (None, "dropout rate 0.005, grid-search split 0"),
+        (0.01, "dropout rate 0.01, final split 0"),
+    ])
+    def test_diverging_pooled_split_names_its_context(self, monkeypatch, pools, dropout,
+                                                      where):
+        orig = training._mp_gelu_bwd
+
+        def poisoned(ctx, g_mean, g_cov, mode):
+            g_mean_in, g_cov_in = orig(ctx, g_mean, g_cov, mode)
+            return np.full_like(g_mean_in, np.nan), g_cov_in
+
+        monkeypatch.setattr(training, "_mp_gelu_bwd", poisoned)  # before the pool forks
+        message = ("non-finite gradient in layer 4 (mp_gelu); epoch 0, batch start 0; "
+                   f"dataset 'synth', mp_gelu diag, {where}")
+        with pytest.raises(FloatingPointError, match=f"^{re.escape(message)}$"):
+            cli.run_uci_protocol(synth_dataset(), "mp_gelu", m.DIAG, "heteroscedastic2",
+                                 jobs=2, repeats=2, epochs=2, batch=32, dropout=dropout)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
+
+    def test_no_repeats_is_an_error(self, tmp_path, capsys):
+        manifest = write_synth_dataset(tmp_path)
+        code = cli.main(["uci", "--manifest", str(manifest), "--dataset", "synth",
+                         "--arch", "relu", "--out", str(tmp_path / "out"), "--repeats", "0"])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last == "error: repeats must be >= 1, got 0"
 
 
 class TestBenchmarkCommand:

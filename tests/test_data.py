@@ -111,6 +111,11 @@ class TestMakeSplits:
         with pytest.raises(ValueError):
             data.make_splits(ds, repeats=1, seed=0)
 
+    def test_no_repeats_rejected(self):
+        ds = data.toy_generate(50, seed=0)
+        with pytest.raises(ValueError, match="repeats must be >= 1, got 0"):
+            data.make_splits(ds, repeats=0, seed=0)
+
     def test_reproducible_across_process_restarts(self):
         """The same seed yields the same first split in a fresh interpreter."""
         code = (

@@ -7,7 +7,8 @@ import pytest
 
 from mpbnn import cli
 from mpbnn import moments as m
-from mpbnn.mc_oracle import mc_expected_ll, mc_layer_moments, sample_input
+from mpbnn import network as net
+from mpbnn.mc_oracle import mc_expected_ll, mc_layer_moments, mc_network_moments, sample_input
 from mpbnn.network import LayerSpec, DENSE, MP_GELU, RELU
 
 
@@ -38,6 +39,13 @@ class TestSampling:
         mv = m.MomentVector(np.zeros(2), np.ones(2), m.DIAG)
         with pytest.raises(ValueError, match="samples must be >= 1000"):
             mc_expected_ll(mv, 0.0, samples, seed=0)
+
+    @pytest.mark.parametrize("samples", [0, 1, 999])
+    def test_network_minimum_sample_count_enforced(self, samples):
+        config = net.build_model(net.ARCH_RELU, 2, 3, 0.1, m.DIAG, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 0)
+        with pytest.raises(ValueError, match="samples must be >= 1000"):
+            mc_network_moments(config, params, np.zeros(2), samples, seed=0)
 
 
 class TestLayerSemantics:
