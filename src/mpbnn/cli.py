@@ -44,6 +44,7 @@ TOY_TRAIN_ROWS = 100
 TOY_GRID_POINTS = 200
 TEST_PASS_REPETITIONS = 5  # timed passes of `_time_test_pass`, after one warmup
 BENCH_WIDTHS = (20, 64, 256, 1024)
+CASE_CORR = 0.45  # share of a random correlation in full-mode `_random_case` inputs
 
 
 def _fmt(x) -> str:
@@ -57,6 +58,11 @@ def _write_csv(path, header, rows):
             fh.write(",".join(str(c) if isinstance(c, (str, int)) else _fmt(c) for c in row))
             fh.write("\n")
     return path
+
+
+RESULT_CSV_HEADER = [
+    "dataset", "n", "q", "nll_mean", "nll_se", "rmse_mean", "rmse_se", "runtime_s",
+]
 
 
 @dataclass
@@ -96,15 +102,7 @@ class ExperimentResult:
         return json.dumps(dataclasses.asdict(self), indent=1)
 
     def csv_row(self):
-        return [
-            self.dataset, self.n, self.q,
-            self.nll_mean, self.nll_se, self.rmse_mean, self.rmse_se, self.runtime_s,
-        ]
-
-
-RESULT_CSV_HEADER = [
-    "dataset", "n", "q", "nll_mean", "nll_se", "rmse_mean", "rmse_se", "runtime_s",
-]
+        return [getattr(self, key) for key in RESULT_CSV_HEADER]
 
 
 # ---------------------------------------------------------------------------
@@ -154,14 +152,22 @@ def cmd_toy(out_dir, seed: int = 0, epochs: int = TOY_DEFAULTS["epochs"],
 def load_manifest(path) -> dict:
     """Dataset entries with `path` resolved against the manifest's directory.
 
-    Every entry must have a `path`, `n` and `q`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    Every entry must be an object with a `path`, `n` and `q`; its optional
+    `label_col` is a column index and `drop_cols` a list of them."""
+    manifest = _read_json_object(path, "manifest")
     base = os.path.dirname(os.path.abspath(path))
     for name, entry in manifest.items():
+        if not isinstance(entry, dict):
+            raise ValueError(f"{path}: dataset {name!r} must be a JSON object")
         missing = [key for key in ("path", "n", "q") if key not in entry]
         if missing:
             raise ValueError(f"{path}: dataset {name!r} has no {', '.join(map(repr, missing))}")
+        columns = {"label_col": [entry.get("label_col", -1)],
+                   "drop_cols": entry.get("drop_cols", [])}
+        for key, cols in columns.items():
+            if not isinstance(cols, list) or any(type(c) is not int for c in cols):
+                raise ValueError(f"{path}: dataset {name!r} has {key} {entry[key]!r}, "
+                                 "not integer column indices")
         entry["path"] = os.path.join(base, entry["path"])
     return manifest
 
@@ -264,6 +270,8 @@ def cmd_benchmark(widths=BENCH_WIDTHS, mode: str = FULL, repetitions: int = 50,
     Returns one row per width: median ns/pass for both architectures, the
     speedup relu/mp_gelu, per-pass transcendental counters, and whether BLAS
     was pinned to one thread while timing (see `training.blas_pinned`)."""
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     rows = []
     pinned = training.blas_pinned()
     rng = np.random.default_rng(seed)
@@ -320,7 +328,7 @@ def cmd_benchmark(widths=BENCH_WIDTHS, mode: str = FULL, repetitions: int = 50,
 # ---------------------------------------------------------------------------
 
 
-def _random_case(n, mode, rng, corr=0.45):
+def _random_case(n, mode, rng):
     """Well-conditioned random input: |μ/σ| ≤ 2.2 keeps gate rates away from
     0/1 (so the MC oracle stays informative) and the first-order rectifier
     cross-covariance within its documented tolerance."""
@@ -331,7 +339,7 @@ def _random_case(n, mode, rng, corr=0.45):
         r0 = a @ a.T
         d = np.sqrt(np.diag(r0))
         r0 = r0 / np.outer(d, d)
-        r = corr * r0 + (1.0 - corr) * np.eye(n)
+        r = CASE_CORR * r0 + (1.0 - CASE_CORR) * np.eye(n)
         return moments.MomentVector(mean, r * np.outer(sigma, sigma), FULL)
     return moments.MomentVector(mean, sigma * sigma, DIAG)
 
@@ -529,18 +537,25 @@ def _int_list(text: str) -> tuple:
     return tuple(int(w) for w in text.split(","))
 
 
+def _read_json_object(path, what: str) -> dict:
+    """The JSON object in the user file `path`, a command's `what`.  A file
+    that is not JSON, not UTF-8 or not an object is a ValueError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            doc = json.load(fh)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            raise ValueError(f"{path}: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: {what} must be a JSON object")
+    return doc
+
+
 def _config_flags(args) -> list:
     """`--key=value` for every entry of the `--config` file that names a
     flag of `args`' subcommand left out on the command line, so that its
     parser converts and checks the value; a list value is joined with
     commas.  Entries for other keys, and null entries, are ignored."""
-    with open(args.config, "r", encoding="utf-8") as fh:
-        try:
-            cfg = json.load(fh)
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"{args.config}: {exc}") from exc
-    if not isinstance(cfg, dict):
-        raise ValueError(f"{args.config}: config must be a JSON object")
+    cfg = _read_json_object(args.config, "config")
     unset = {key for key, value in vars(args).items() if value is None}
     return [
         f"--{key}=" + (",".join(map(str, value)) if isinstance(value, list) else str(value))

@@ -1,9 +1,9 @@
 """Datasets: toy synthesis, CSV ingestion, splits, and the dropout grid search.
 
-The benchmark protocol: 10% of the rows form the test set, the rest the
-training set, repeated 20 times.  For the dropout grid search, 20% of each
-training set is held out for validation; the rate with the lowest mean
-validation NLL across the 20 splits wins (ties to the smaller rate).
+The benchmark protocol: `TEST_FRAC` (10%) of the rows form the test set, the
+rest the training set, repeated 20 times.  The dropout grid search holds out
+`VAL_FRAC` (20%) of each training set; the rate of `GRID_RATES` with the
+lowest mean validation NLL over the splits wins (ties to the smaller rate).
 Both phases train and score through one runner, `run_split`.  It fits the
 feature and label statistics on the rows it trains on (the train portion in
 the grid search, train+val in the final phase), and the held-out rows reuse
@@ -30,6 +30,8 @@ import numpy as np
 from . import network, training
 
 GRID_RATES = (0.005, 0.01, 0.05, 0.1)
+TEST_FRAC = 0.1  # of all rows
+VAL_FRAC = 0.2  # of the rows left after the test set
 
 # Columns with (population) std below this are treated as constant.
 _STD_EPS = 1e-12
@@ -184,20 +186,14 @@ def load_csv(path, label_col: int = -1, drop_cols=()) -> Dataset:
     return Dataset(data[:, keep], labels, name)
 
 
-def make_splits(
-    ds: Dataset,
-    repeats: int = 20,
-    test_frac: float = 0.1,
-    val_frac: float = 0.2,
-    seed: int = 0,
-) -> list:
+def make_splits(ds: Dataset, repeats: int = 20, seed: int = 0) -> list:
     """Independent random splits of the rows into train, val and test."""
     if repeats < 1:
         raise ValueError(f"repeats must be >= 1, got {repeats}")
     n = ds.n
-    n_test = int(round(n * test_frac))
+    n_test = int(round(n * TEST_FRAC))
     n_rest = n - n_test
-    n_val = int(round(n_rest * val_frac))
+    n_val = int(round(n_rest * VAL_FRAC))
     n_train = n_rest - n_val
     if min(n_test, n_val, n_train) < 1:
         raise ValueError(
@@ -321,32 +317,25 @@ def grid_search_dropout(
     mode: str,
     head: str,
     train_config: training.TrainConfig,
-    rates=GRID_RATES,
     repeats: int = 20,
     jobs: int = 1,
     width: int = 20,
 ) -> float:
-    """Mean-validation-NLL argmin over the dropout search space.
+    """Mean-validation-NLL argmin over `GRID_RATES`.
 
-    Each rate is scored by training on 80% of every split's training data
-    and averaging the held-out NLL over the splits.  The splits and every
-    training's seed derive from `train_config.seed`.  A single-rate search
-    space short-circuits without training.
+    Each rate is scored by training on the train portion of every split and
+    averaging the held-out NLL over the splits.  The splits and every
+    training's seed derive from `train_config.seed`.
     """
-    rates = tuple(rates)
-    if not rates:
-        raise ValueError("empty search space")
-    if len(rates) == 1:
-        return rates[0]
     splits = make_splits(ds, repeats=repeats, seed=train_config.seed)
     tasks = [
         task
-        for ri, rate in enumerate(rates)
+        for ri, rate in enumerate(GRID_RATES)
         for task in split_tasks(ds, splits, GRID_SEARCH, arch, mode, head, width, rate,
                                 train_config, (1, ri))
     ]
     scores = run_tasks(run_split, tasks, jobs)
     k = len(splits)
     mean_nll = [np.mean([nll for nll, _, _ in scores[ri * k : (ri + 1) * k]])
-                for ri in range(len(rates))]
-    return min(zip(mean_nll, rates))[1]
+                for ri in range(len(GRID_RATES))]
+    return min(zip(mean_nll, GRID_RATES))[1]

@@ -86,7 +86,6 @@ class ModelConfig:
     layers: tuple
     covariance_mode: str
     head: str
-    hidden_width: int = 20
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -160,7 +159,7 @@ def build_mp_gelu_model(
         LayerSpec(MP_GELU),
         dense(width, HEAD_DIMS[head]),
     )
-    return ModelConfig(layers, mode, head, hidden_width=width)
+    return ModelConfig(layers, mode, head)
 
 
 def build_relu_model(
@@ -181,7 +180,7 @@ def build_relu_model(
         dropout(dropout_rate),
         dense(width, HEAD_DIMS[head]),
     )
-    return ModelConfig(layers, mode, head, hidden_width=width)
+    return ModelConfig(layers, mode, head)
 
 
 def build_model(arch: str, input_dim: int, width: int = 20, dropout_rate: float = 0.05,
@@ -279,9 +278,9 @@ def forward(config: ModelConfig, params: ParameterSet, x) -> MomentVector:
 
 # ---------------------------------------------------------------------------
 # Model persistence: one flat JSON document.
-# Field names: covariance_mode, head, hidden_width, layers (list of
-# {kind, in_dim, out_dim, rate}), weights / biases (row-major nested lists,
-# one entry per dense layer in order).
+# Field names: covariance_mode, head, hidden_width (the first dense layer's
+# width, for readers; not read back), layers (list of {kind, in_dim, out_dim,
+# rate}), weights / biases (row-major nested lists, one per dense layer).
 # ---------------------------------------------------------------------------
 
 
@@ -289,7 +288,7 @@ def model_to_json(config: ModelConfig, params: ParameterSet) -> str:
     doc = {
         "covariance_mode": config.covariance_mode,
         "head": config.head,
-        "hidden_width": config.hidden_width,
+        "hidden_width": config.dense_shapes[0][0],
         "layers": [
             {"kind": l.kind, "in_dim": l.in_dim, "out_dim": l.out_dim, "rate": l.rate}
             for l in config.layers
@@ -306,7 +305,7 @@ def model_from_json(text: str):
         LayerSpec(d["kind"], in_dim=d["in_dim"], out_dim=d["out_dim"], rate=d["rate"])
         for d in doc["layers"]
     )
-    config = ModelConfig(layers, doc["covariance_mode"], doc["head"], doc["hidden_width"])
+    config = ModelConfig(layers, doc["covariance_mode"], doc["head"])
     params = ParameterSet(
         [np.asarray(w, dtype=float) for w in doc["weights"]],
         [np.asarray(b, dtype=float) for b in doc["biases"]],

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import moments
 from .moments import FULL, MomentError, MomentVector
-from .network import HEAD_HETEROSCEDASTIC, HEAD_HOMOSCEDASTIC
+from .network import HEAD_DIMS, HEAD_HETEROSCEDASTIC
 
 LOG_2PI = math.log(2.0 * math.pi)
 
@@ -168,12 +168,9 @@ def expected_log_likelihood_1out(head_mv: MomentVector, y: float) -> float:
 
 def predictive_moments(head_mv: MomentVector, head_type: str) -> PredictiveMoments:
     """Moment-matched Gaussian predictive from the head moments."""
-    if head_type == HEAD_HETEROSCEDASTIC:
-        _check_head(head_mv, 2, "predictive_moments")
-    elif head_type == HEAD_HOMOSCEDASTIC:
-        _check_head(head_mv, 1, "predictive_moments")
-    else:
+    if head_type not in HEAD_DIMS:
         raise MomentError(f"unknown head type {head_type!r}")
+    _check_head(head_mv, HEAD_DIMS[head_type], "predictive_moments")
     mean, var = head_mv.mean, head_mv.variances
     m, v = _predictive(mean[0], var[0], mean[-1], var[-1], head_type)
     return PredictiveMoments(float(m), float(v))

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import moments, objective
-from .moments import FULL
+from .moments import _INV_SQRT_2PI, FULL
 from .network import (
     DENSE,
     DROPOUT,
@@ -53,9 +53,6 @@ from .network import (
     forward_batch,
     init_parameters,
 )
-
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
 
 try:
     from threadpoolctl import threadpool_limits

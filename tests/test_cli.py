@@ -149,6 +149,24 @@ class TestUciCommand:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith("error: ") and message in last
 
+    @pytest.mark.parametrize("text, message", [
+        ("{synth: 1", "Expecting property name"),
+        ('[{"path": "synth.csv", "n": 90, "q": 2}]', "manifest must be a JSON object"),
+        ('{"synth": "synth.csv 90 2"}', "dataset 'synth' must be a JSON object"),
+        ('{"synth": {"path": "synth.csv", "n": 90, "q": 2, "label_col": "last"}}',
+         "dataset 'synth' has label_col 'last', not integer column indices"),
+        ('{"synth": {"path": "synth.csv", "n": 90, "q": 2, "drop_cols": [0, "x"]}}',
+         "dataset 'synth' has drop_cols [0, 'x'], not integer column indices"),
+    ])
+    def test_malformed_manifest_is_an_error(self, tmp_path, capsys, text, message):
+        manifest = write_synth_dataset(tmp_path)
+        manifest.write_text(text)
+        code = cli.main(["uci", "--manifest", str(manifest), "--dataset", "synth",
+                         "--arch", "relu", "--out", str(tmp_path / "out")])
+        assert code == 2
+        last = capsys.readouterr().err.splitlines()[-1]
+        assert last.startswith(f"error: {manifest}: ") and message in last
+
     def test_pool_matches_serial(self):
         """The process pool trains and scores every split exactly as the
         serial loop does, in the grid search and the final phase."""
@@ -274,6 +292,13 @@ class TestBenchmarkCommand:
         assert row["relu_exp"] == 2 * 16
         header = (tmp_path / "bench.csv").read_text().splitlines()[0]
         assert header.startswith("width,mode,mp_gelu_ns,relu_ns,speedup")
+
+    @pytest.mark.parametrize("reps", ["0", "-1"])
+    def test_no_repetitions_is_an_error(self, capsys, reps):
+        code = cli.main(["benchmark", "--widths", "8", "--reps", reps])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: repetitions must be >= 1, got {reps}")
 
     def test_gated_pipeline_has_fewer_layers(self):
         from mpbnn import network as net

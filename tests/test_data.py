@@ -1,5 +1,6 @@
 """Data handling: toy generator, CSV ingestion, splits, standardization, grid search."""
 
+import os
 import subprocess
 import sys
 
@@ -9,7 +10,7 @@ import pytest
 from mpbnn import data
 from mpbnn import network as net
 from mpbnn import training as tr
-from mpbnn.moments import DIAG, FULL
+from mpbnn.moments import DIAG
 
 
 class TestToyGenerate:
@@ -124,9 +125,12 @@ class TestMakeSplits:
             "s = data.make_splits(ds, repeats=2, seed=4)[0];"
             "print(','.join(map(str, s.test_idx)))"
         )
+        # The child imports the package this process imported.
+        env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(data.__file__)))
         outs = {
             subprocess.run(
-                [sys.executable, "-c", code], capture_output=True, text=True, check=True
+                [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                check=True,
             ).stdout.strip()
             for _ in range(2)
         }
@@ -157,17 +161,6 @@ class TestStandardizer:
 class TestGridSearch:
     def tiny_tc(self, epochs=3):
         return tr.TrainConfig(0.05, epochs, 64, 0)
-
-    def test_single_rate_short_circuits_without_training(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(data.training, "train",
-                            lambda *a, **k: (_ for _ in ()).throw(AssertionError))
-        ds = data.toy_generate(50, seed=0)
-        rate = data.grid_search_dropout(
-            ds, net.ARCH_MP_GELU, FULL, net.HEAD_HETEROSCEDASTIC, self.tiny_tc(),
-            rates=(0.07,),
-        )
-        assert rate == 0.07
 
     def test_search_runs_rates_times_splits_trainings(self, monkeypatch):
         counter = {"n": 0}
@@ -207,10 +200,3 @@ class TestGridSearch:
         )
         assert rate == 0.005
 
-    def test_empty_search_space_rejected(self):
-        ds = data.toy_generate(50, seed=0)
-        with pytest.raises(ValueError):
-            data.grid_search_dropout(
-                ds, net.ARCH_MP_GELU, DIAG, net.HEAD_HETEROSCEDASTIC, self.tiny_tc(),
-                rates=(),
-            )

@@ -221,14 +221,14 @@ class TestPersistence:
             "covariance_mode", "head", "hidden_width", "layers", "weights", "biases",
         }
         assert doc["layers"][0]["kind"] == "dropout"
+        assert doc["hidden_width"] == 4  # the first dense layer's width
 
     def test_shape_mismatch_rejected(self):
         config = net.build_mp_gelu_model(3, 4)
         params = net.init_parameters(config, 0)
-        text = net.model_to_json(config, params).replace('"hidden_width": 4', '"hidden_width": 4')
         import json
 
-        doc = json.loads(text)
+        doc = json.loads(net.model_to_json(config, params))
         doc["weights"][0] = [[0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(ValueError):
             net.model_from_json(json.dumps(doc))
