@@ -17,6 +17,7 @@ given --seed except wall-clock timing fields.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -152,8 +153,9 @@ def cmd_toy(out_dir, seed: int = 0, epochs: int = TOY_DEFAULTS["epochs"],
 def load_manifest(path) -> dict:
     """Dataset entries with `path` resolved against the manifest's directory.
 
-    Every entry must be an object with a `path`, `n` and `q`; its optional
-    `label_col` is a column index and `drop_cols` a list of them."""
+    Every entry must be an object with a string `path` and positive integer
+    `n` and `q`; its optional `label_col` is a column index and `drop_cols`
+    a list of them."""
     manifest = _read_json_object(path, "manifest")
     base = os.path.dirname(os.path.abspath(path))
     for name, entry in manifest.items():
@@ -162,6 +164,12 @@ def load_manifest(path) -> dict:
         missing = [key for key in ("path", "n", "q") if key not in entry]
         if missing:
             raise ValueError(f"{path}: dataset {name!r} has no {', '.join(map(repr, missing))}")
+        if not isinstance(entry["path"], str):
+            raise ValueError(f"{path}: dataset {name!r} has path {entry['path']!r}, not a string")
+        for key in ("n", "q"):
+            if type(entry[key]) is not int or entry[key] < 1:
+                raise ValueError(f"{path}: dataset {name!r} has {key} {entry[key]!r}, "
+                                 "not a positive integer")
         columns = {"label_col": [entry.get("label_col", -1)],
                    "drop_cols": entry.get("drop_cols", [])}
         for key, cols in columns.items():
@@ -437,31 +445,101 @@ def _check_objective_oracle(samples: int, cases: int, seed: int):
     yield "objective_oracle eq_ll", not failures, f"worst dev {worst:.3f} se"
 
 
+FD_STEP = 1e-5
+# Rows of one batched pass above a perturbed dense layer: as many whole
+# probes of a batch as fit, and at least one.  It bounds memory: a
+# full-mode pass holds a few (width, width, rows) arrays, 0.8 MB each at
+# width 20.  256 rows keep each layer of the B=3 sweep in one pass.
+FD_CHUNK_ROWS = 256
+
+
+@contextlib.contextmanager
+def _moved(params, li, probe):
+    """Dense layer li's parameter `probe` = (array name, index, step) moved
+    by its step, in place, and restored on exit."""
+    name, idx, step = probe
+    w = getattr(params, name)[li]
+    orig = w[idx]
+    w[idx] = orig + step
+    try:
+        yield
+    finally:
+        w[idx] = orig
+
+
+def _probe_losses(config, params, x, y, states, li):
+    """The probes of dense layer li, each weight then each bias moved by
+    +FD_STEP and then by -FD_STEP, as (array name, index, step), with the
+    loss under each (`training.loss`).
+
+    Below the head, each probe runs layer li alone from its recorded input
+    state, the probes' outputs go through the layers above stacked along
+    the batch axis, FD_CHUNK_ROWS rows at a time, and each loss resumes at
+    the head from its probe's rows.  Those rows have the bits of one pass
+    per probe: the layers below the head work row by row, and the gates'
+    batch-wide guards give the same bits on the other units either way.
+    A one-output head's product is a BLAS matrix-vector call, whose
+    rounding depends on where a row sits.  So the head's probes, and those
+    of a one-row batch, whose every dense product is such a call, resume
+    at layer li, one pass each."""
+    probes = [(name, idx, step) for name in ("weights", "biases")
+              for idx in np.ndindex(getattr(params, name)[li].shape)
+              for step in (FD_STEP, -FD_STEP)]
+    losses = []
+    batch = x.shape[0]
+    if li == len(states) - 1 or batch == 1:
+        for probe in probes:
+            with _moved(params, li, probe):
+                losses.append(training.loss(config, params, x, y, resume=states[li]))
+        return probes, losses
+    layer_i, _, mean, cov = states[li]
+    layer, mode = config.layers[layer_i], config.covariance_mode
+    per_chunk = max(1, FD_CHUNK_ROWS // batch)
+    for start in range(0, len(probes), per_chunk):
+        means, covs = [], []
+        for probe in probes[start:start + per_chunk]:
+            with _moved(params, li, probe):
+                wb = (params.weights[li], params.biases[li])
+                out_mean, out_cov, _ = network._FWD[network.DENSE](layer, mean, cov, wb, mode)
+            means.append(out_mean)
+            covs.append(out_cov)
+        # A full covariance is batch-last (see `moments`).
+        full = covs[0].ndim == 3
+        above = []
+        network._run_layers(config, params, x, states=above, resume=(
+            layer_i + 1, li + 1, np.concatenate(means), np.concatenate(covs, -1 if full else 0)))
+        head_i, head_d, head_mean, head_cov = above[-1]
+        for k in range(len(means)):
+            rows = slice(k * batch, (k + 1) * batch)
+            head_state = (head_i, head_d, head_mean[rows],
+                          head_cov[..., rows] if full else head_cov[rows])
+            losses.append(training.loss(config, params, x, y, resume=head_state))
+    return probes, losses
+
+
 def fd_check(config, params, x, y):
     """Analytic gradients of one batch against central differences (step
-    1e-5).  A coordinate violates when its relative error is 1e-4 or more
-    or, where |gradient| < 1e-3, its absolute error is 1e-7 or more.
-    The probes need only the loss (`training.loss`), and those of dense
-    layer li resume at li from a state recorded once by an untaped pass (see
-    `network._run_layers`): the layers below li cannot change.  Returns
-    (coordinates, worst relative error, violations as (array, layer, index,
-    analytic, fd))."""
+    FD_STEP).  A coordinate violates when its relative error is 1e-4 or
+    more or, where |gradient| < 1e-3, its absolute error is 1e-7 or more.
+    The probes need only the loss, and start from the states one untaped
+    pass records before each dense layer (see `network._run_layers`): the
+    layers below a perturbed layer cannot change.  Returns (coordinates,
+    worst relative error, violations as (array, layer, index, analytic,
+    fd)), bit for bit those of one whole pass per probe."""
     _, grads = training.loss_and_gradients(config, params, x, y)
+    x = np.asarray(x, dtype=float)
     states = []
-    network._run_layers(config, params, np.asarray(x, dtype=float), states=states)
-    h = 1e-5
+    network._run_layers(config, params, x, states=states)
+    fds = {}
+    for li in range(len(states)):
+        probes, losses = _probe_losses(config, params, x, y, states, li)
+        for (name, idx, _), lp, lm in zip(probes[::2], losses[::2], losses[1::2]):
+            fds[name, li, idx] = (lp - lm) / (2.0 * FD_STEP)
     coordinates, worst, violations = 0, 0.0, []
     for name in ("weights", "biases"):
-        for li, w in enumerate(getattr(params, name)):
-            for idx in np.ndindex(w.shape):
-                orig = w[idx]
-                w[idx] = orig + h
-                lp = training.loss(config, params, x, y, resume=states[li])
-                w[idx] = orig - h
-                lm = training.loss(config, params, x, y, resume=states[li])
-                w[idx] = orig
-                fd = (lp - lm) / (2.0 * h)
-                an = getattr(grads, name)[li][idx]
+        for li, g in enumerate(getattr(grads, name)):
+            for idx in np.ndindex(g.shape):
+                an, fd = g[idx], fds[name, li, idx]
                 coordinates += 1
                 if abs(an) < 1e-3:
                     ok = abs(an - fd) < 1e-7

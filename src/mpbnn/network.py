@@ -119,10 +119,6 @@ class ModelConfig:
         raise ValueError("no dense layer")
 
     @property
-    def head_dim(self) -> int:
-        return HEAD_DIMS[self.head]
-
-    @property
     def dense_shapes(self) -> list:
         return [(l.out_dim, l.in_dim) for l in self.layers if l.kind == DENSE]
 

@@ -18,9 +18,11 @@ the floor (see `moments`); the adjoints then skip the masks.
 Finite differences are kept as a test oracle only; this module is the
 production gradient path.  `loss_and_gradients` runs a taped forward pass
 and the backward pass inside a pooled step (see `moments`).  `loss` gives
-the same loss, bit for bit, from the forward pass alone; it is what the
-finite-difference probes of `cli.fd_check` call.  Both take their input
-checks and head objective from one place (`_batch`, `_head_loss`).
+the same loss, bit for bit, from the forward pass alone, also when resumed
+from a recorded state; it is what the finite-difference probes of
+`cli.fd_check` call, most of them resumed at the head from their rows of a
+batched pass over one dense layer's probes.  Both take their input checks
+and head objective from one place (`_batch`, `_head_loss`).
 
 `train` and `evaluate_model` run with BLAS pinned to one thread
 (`single_thread_blas`): through threadpoolctl when it is installed, else

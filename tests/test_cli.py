@@ -167,6 +167,25 @@ class TestUciCommand:
         last = capsys.readouterr().err.splitlines()[-1]
         assert last.startswith(f"error: {manifest}: ") and message in last
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("path", 5, "dataset 'synth' has path 5, not a string"),
+        ("n", "90", "dataset 'synth' has n '90', not a positive integer"),
+        ("q", True, "dataset 'synth' has q True, not a positive integer"),
+        ("n", 0, "dataset 'synth' has n 0, not a positive integer"),
+    ])
+    def test_manifest_entry_bad_value_is_an_error(self, tmp_path, capsys, key, value, message):
+        manifest = write_synth_dataset(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["synth"][key] = value
+        manifest.write_text(json.dumps(doc))
+        code = cli.main(["uci", "--manifest", str(manifest), "--dataset", "synth",
+                         "--arch", "relu", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        last = err.splitlines()[-1]
+        assert last.startswith(f"error: {manifest}: ") and message in last
+
     def test_pool_matches_serial(self):
         """The process pool trains and scores every split exactly as the
         serial loop does, in the grid search and the final phase."""

@@ -21,7 +21,7 @@ class TestBuilders:
     def test_gated_one_output_variant(self):
         config = net.build_mp_gelu_model(1, 20, 0.05, m.FULL, net.HEAD_HOMOSCEDASTIC)
         assert config.layers[-1].out_dim == 1
-        assert config.head_dim == 1
+        assert net.HEAD_DIMS[config.head] == 1
 
     def test_rectifier_architecture_layer_for_layer(self):
         """Dropout before each of the three dense layers, two rectifiers."""

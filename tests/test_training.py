@@ -241,38 +241,88 @@ class TestResume:
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     def test_fd_check_keeps_its_states_and_its_results(self, monkeypatch, mode):
+        """`fd_check` gives the tuples of one whole pass per probe, floats
+        compared by repr, in batches of the default size and of 7 rows, and
+        with every coordinate a violation, so that each probe's difference
+        is in the result.  With B > 1 every probe's loss resumes at the
+        head; the states the probes start from are never written to."""
         rng = np.random.default_rng(29)
-        x, y = rng.standard_normal((3, 4)), rng.standard_normal(3)
         for arch in (net.ARCH_MP_GELU, net.ARCH_RELU):
-            config = net.build_model(arch, 4, 6, 0.2, mode, net.HEAD_HETEROSCEDASTIC)
-            params = net.init_parameters(config, 0)
-            recorded = []
-            run_layers = net._run_layers
+            for head in (net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC):
+                config = net.build_model(arch, 4, 6, 0.2, mode, head)
+                params = net.init_parameters(config, 0)
+                for batch in (3, 1):
+                    x, y = rng.standard_normal((batch, 4)), rng.standard_normal(batch)
+                    self.check_fd_check(monkeypatch, config, params, x, y)
 
-            def recording(*args, states=None, **kwargs):
-                out = run_layers(*args, states=states, **kwargs)
-                if states is not None:
-                    recorded.append((states, [(s[2].copy(), s[3].copy()) for s in states]))
-                return out
+    @staticmethod
+    def whole_pass_fd_check(config, params, x, y):
+        """`cli.fd_check` as one whole `tr.loss` pass per probe."""
+        _, grads = tr.loss_and_gradients(config, params, x, y)
+        coordinates, worst, violations = 0, 0.0, []
+        for name in ("weights", "biases"):
+            for li, w in enumerate(getattr(params, name)):
+                for idx in np.ndindex(w.shape):
+                    orig = w[idx]
+                    w[idx] = orig + 1e-5
+                    lp = tr.loss(config, params, x, y)
+                    w[idx] = orig - 1e-5
+                    lm = tr.loss(config, params, x, y)
+                    w[idx] = orig
+                    fd = (lp - lm) / (2.0 * 1e-5)
+                    an = getattr(grads, name)[li][idx]
+                    coordinates += 1
+                    if abs(an) < 1e-3:
+                        ok = abs(an - fd) < 1e-7
+                    else:
+                        rel = abs(an - fd) / abs(an)
+                        worst = max(worst, rel)
+                        ok = rel < 1e-4
+                    if not ok:
+                        violations.append((name, li, idx, an, fd))
+        return coordinates, worst, violations
 
-            monkeypatch.setattr(net, "_run_layers", recording)
-            resumed = cli.fd_check(config, params, x, y)
-            monkeypatch.undo()
-            (states, copies), = recorded
-            assert len(states) == len(params.weights)
-            for state, (mean, cov) in zip(states, copies):
-                np.testing.assert_array_equal(state[2], mean)
-                np.testing.assert_array_equal(state[3], cov)
-            # Every probe resumes from one of the states; the whole passes
-            # give the same results.
-            loss, resumes = tr.loss, []
-            monkeypatch.setattr(
-                tr, "loss", lambda *args, resume=None: resumes.append(resume) or loss(*args)
-            )
-            assert cli.fd_check(config, params, x, y) == resumed
-            monkeypatch.undo()
-            assert len(resumes) == 2 * resumed[0]
-            assert {r[:2] for r in resumes} == {s[:2] for s in states}
+    def check_fd_check(self, monkeypatch, config, params, x, y):
+        ones = tr.GradientSet([np.ones_like(w) for w in params.weights],
+                              [np.ones_like(b) for b in params.biases])
+        for wrong in (False, True):
+            if wrong:
+                monkeypatch.setattr(tr, "loss_and_gradients", lambda *args: (0.0, ones))
+            want = self.whole_pass_fd_check(config, params, x, y)
+            assert len(want[2]) == (want[0] if wrong else 0)
+            for chunk in (cli.FD_CHUNK_ROWS, 7):
+                monkeypatch.setattr(cli, "FD_CHUNK_ROWS", chunk)
+                recorded, resumes = [], []
+                run_layers, loss = net._run_layers, tr.loss
+
+                def recording(*args, states=None, **kwargs):
+                    out = run_layers(*args, states=states, **kwargs)
+                    if states is not None:
+                        recorded.append((states, [(s[2].copy(), s[3].copy()) for s in states]))
+                    return out
+
+                def resuming(*args, resume=None):
+                    resumes.append(resume[:2])
+                    return loss(*args, resume=resume)
+
+                monkeypatch.setattr(net, "_run_layers", recording)
+                monkeypatch.setattr(tr, "loss", resuming)
+                got = cli.fd_check(config, params, x, y)
+                monkeypatch.setattr(net, "_run_layers", run_layers)
+                monkeypatch.setattr(tr, "loss", loss)
+                assert repr(got) == repr(want)
+                for states, copies in recorded:
+                    for state, (mean, cov) in zip(states, copies):
+                        np.testing.assert_array_equal(state[2], mean)
+                        np.testing.assert_array_equal(state[3], cov)
+                states = recorded[0][0]
+                assert len(states) == len(params.weights)
+                assert len(resumes) == 2 * got[0]
+                if len(x) > 1:
+                    assert set(resumes) == {states[-1][:2]}
+                else:
+                    assert set(resumes) == {s[:2] for s in states}
+        monkeypatch.undo()
 
 
 def gate_input_cov(rng, sigma, mode):
@@ -584,6 +634,22 @@ class TestEvaluateModel:
 
 
 class TestSingleThreadBlas:
+    def test_threadpoolctl_limits_blas_to_one_thread(self, monkeypatch):
+        entered = []
+
+        @contextlib.contextmanager
+        def recording_limits(**kwargs):
+            entered.append(kwargs)
+            yield
+
+        monkeypatch.setattr(tr, "threadpool_limits", recording_limits)
+        monkeypatch.setattr(tr, "_openblas_threads", lambda: ())
+        for var in BLAS_THREAD_VARS:
+            monkeypatch.delenv(var, raising=False)
+        with tr.single_thread_blas():
+            assert entered == [{"limits": 1}]
+        assert tr.blas_pinned() is True
+
     def test_pins_every_openblas_and_restores_the_prior_count(self):
         """In a fresh interpreter with no thread variables set, every OpenBLAS
         found reports one thread inside the context and its prior count after."""
