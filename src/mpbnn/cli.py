@@ -446,8 +446,9 @@ def _check_objective_oracle(samples: int, cases: int, seed: int):
 
 
 FD_STEP = 1e-5
-# Rows of one batched pass above a perturbed dense layer: as many whole
-# probes of a batch as fit, and at least one.  It bounds memory: a
+# Rows of one batched pass above a perturbed dense layer, and of one
+# objective call over probes' head moments: as many whole probes of a
+# batch as fit, and at least one.  It bounds memory: a
 # full-mode pass holds a few (width, width, rows) arrays, 0.8 MB each at
 # width 20.  256 rows keep each layer of the B=3 sweep in one pass.
 FD_CHUNK_ROWS = 256
@@ -467,53 +468,82 @@ def _moved(params, li, probe):
         w[idx] = orig
 
 
+def _probe_heads(config, params, x, states, li, probes):
+    """The head moments (mean, cov) under each of `probes`, a chunk of
+    dense layer li's probes.
+
+    Below the head, each probe runs layer li alone from its recorded input
+    state, the chunk's outputs go through the layers up to the head
+    stacked along the batch axis, and the head runs on each probe's rows.
+    Those rows have the bits of one pass per probe: the layers below the
+    head work row by row, and the gates' batch-wide guards give the same
+    bits on the other units either way.  A one-output head's product is a
+    BLAS matrix-vector call, whose rounding depends on where a row sits.
+    So the head's probes, and those of a one-row batch, whose every dense
+    product is such a call, run from layer li, one pass each."""
+    if li == len(states) - 1 or x.shape[0] == 1:
+        heads = []
+        for probe in probes:
+            with _moved(params, li, probe):
+                heads.append(network._run_layers(config, params, x, resume=states[li]))
+        return heads
+    layer_i, _, mean, cov = states[li]
+    layer, mode = config.layers[layer_i], config.covariance_mode
+    means, covs = [], []
+    for probe in probes:
+        with _moved(params, li, probe):
+            wb = (params.weights[li], params.biases[li])
+            out_mean, out_cov, _ = network._FWD[network.DENSE](layer, mean, cov, wb, mode)
+        means.append(out_mean)
+        covs.append(out_cov)
+    # A full covariance is batch-last (see `moments`).
+    full = mode == FULL
+    above = []
+    network._run_layers(config, params, x, states=above, resume=(
+        layer_i + 1, li + 1, np.concatenate(means), np.concatenate(covs, -1 if full else 0)))
+    head_i, head_d, head_mean, head_cov = above[-1]
+    batch, heads = x.shape[0], []
+    for k in range(0, len(probes) * batch, batch):
+        rows = slice(k, k + batch)
+        heads.append(network._run_layers(config, params, x, resume=(
+            head_i, head_d, head_mean[rows], head_cov[..., rows] if full else head_cov[rows])))
+    return heads
+
+
+def _chunk_losses(config, heads, y, li, probes):
+    """The losses of a chunk of probes from their head moments, by one
+    objective call over the chunk's rows.  When that call finds a
+    non-finite value, the probes are scored one at a time and the first
+    failing one's error names its layer, parameter and step."""
+    full = config.covariance_mode == FULL
+    mean = np.concatenate([m for m, _ in heads])
+    cov = np.concatenate([c for _, c in heads], -1 if full else 0)
+    try:
+        return training._head_loss(config, mean, cov, y, len(heads))[0].tolist()
+    except FloatingPointError:
+        for (head_mean, head_cov), (name, idx, step) in zip(heads, probes):
+            try:
+                training._head_loss(config, head_mean, head_cov, y)
+            except FloatingPointError as exc:
+                where = f"dense layer {li}, {name}[{', '.join(map(str, idx))}] moved by {step:+g}"
+                raise training.with_context(exc, where) from exc
+        raise
+
+
 def _probe_losses(config, params, x, y, states, li):
     """The probes of dense layer li, each weight then each bias moved by
     +FD_STEP and then by -FD_STEP, as (array name, index, step), with the
-    loss under each (`training.loss`).
-
-    Below the head, each probe runs layer li alone from its recorded input
-    state, the probes' outputs go through the layers above stacked along
-    the batch axis, FD_CHUNK_ROWS rows at a time, and each loss resumes at
-    the head from its probe's rows.  Those rows have the bits of one pass
-    per probe: the layers below the head work row by row, and the gates'
-    batch-wide guards give the same bits on the other units either way.
-    A one-output head's product is a BLAS matrix-vector call, whose
-    rounding depends on where a row sits.  So the head's probes, and those
-    of a one-row batch, whose every dense product is such a call, resume
-    at layer li, one pass each."""
+    loss under each: the probes' head moments (`_probe_heads`) are scored
+    FD_CHUNK_ROWS rows at a time (`_chunk_losses`)."""
     probes = [(name, idx, step) for name in ("weights", "biases")
               for idx in np.ndindex(getattr(params, name)[li].shape)
               for step in (FD_STEP, -FD_STEP)]
+    per_chunk = max(1, FD_CHUNK_ROWS // x.shape[0])
     losses = []
-    batch = x.shape[0]
-    if li == len(states) - 1 or batch == 1:
-        for probe in probes:
-            with _moved(params, li, probe):
-                losses.append(training.loss(config, params, x, y, resume=states[li]))
-        return probes, losses
-    layer_i, _, mean, cov = states[li]
-    layer, mode = config.layers[layer_i], config.covariance_mode
-    per_chunk = max(1, FD_CHUNK_ROWS // batch)
     for start in range(0, len(probes), per_chunk):
-        means, covs = [], []
-        for probe in probes[start:start + per_chunk]:
-            with _moved(params, li, probe):
-                wb = (params.weights[li], params.biases[li])
-                out_mean, out_cov, _ = network._FWD[network.DENSE](layer, mean, cov, wb, mode)
-            means.append(out_mean)
-            covs.append(out_cov)
-        # A full covariance is batch-last (see `moments`).
-        full = covs[0].ndim == 3
-        above = []
-        network._run_layers(config, params, x, states=above, resume=(
-            layer_i + 1, li + 1, np.concatenate(means), np.concatenate(covs, -1 if full else 0)))
-        head_i, head_d, head_mean, head_cov = above[-1]
-        for k in range(len(means)):
-            rows = slice(k * batch, (k + 1) * batch)
-            head_state = (head_i, head_d, head_mean[rows],
-                          head_cov[..., rows] if full else head_cov[rows])
-            losses.append(training.loss(config, params, x, y, resume=head_state))
+        chunk = probes[start:start + per_chunk]
+        heads = _probe_heads(config, params, x, states, li, chunk)
+        losses += _chunk_losses(config, heads, y, li, chunk)
     return probes, losses
 
 
@@ -527,7 +557,7 @@ def fd_check(config, params, x, y):
     worst relative error, violations as (array, layer, index, analytic,
     fd)), bit for bit those of one whole pass per probe."""
     _, grads = training.loss_and_gradients(config, params, x, y)
-    x = np.asarray(x, dtype=float)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     states = []
     network._run_layers(config, params, x, states=states)
     fds = {}

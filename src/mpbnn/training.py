@@ -19,10 +19,12 @@ Finite differences are kept as a test oracle only; this module is the
 production gradient path.  `loss_and_gradients` runs a taped forward pass
 and the backward pass inside a pooled step (see `moments`).  `loss` gives
 the same loss, bit for bit, from the forward pass alone, also when resumed
-from a recorded state; it is what the finite-difference probes of
-`cli.fd_check` call, most of them resumed at the head from their rows of a
-batched pass over one dense layer's probes.  Both take their input checks
-and head objective from one place (`_batch`, `_head_loss`).
+from a recorded state.  Both take their input checks and head objective
+from one place (`_batch`, `_head_loss`).  `_head_loss` also scores several
+passes stacked along the batch axis, each to the bits of its own call: the
+finite-difference probes of `cli.fd_check` score the head moments of up to
+`cli.FD_CHUNK_ROWS` rows of probes with one call, 24 calls for the 1320
+probes of an `mpbnn check` sweep.
 
 `train` and `evaluate_model` run with BLAS pinned to one thread
 (`single_thread_blas`): through threadpoolctl when it is installed, else
@@ -35,7 +37,6 @@ from __future__ import annotations
 import contextlib
 import ctypes
 import functools
-import math
 import os
 from dataclasses import dataclass
 
@@ -333,21 +334,29 @@ def _batch(xs, ys):
     return xs, ys
 
 
-def _head_loss(config, mean, cov, ys):
-    """Mean negative expected log-likelihood of a pass's head moments.
+def _head_loss(config, mean, cov, ys, passes=1):
+    """Mean negative expected log-likelihood of head moments: those of one
+    pass over the batch `ys`, or of `passes` such passes stacked along the
+    batch axis (a full covariance's last axis, else its first).
 
-    Returns (loss, the head's objective backward kernel, its context)."""
+    Returns (each pass's loss as an array, the head's objective backward
+    kernel, its context)."""
     mode = config.covariance_mode
+    if passes > 1:
+        ys = np.tile(ys, passes)
     if config.head == HEAD_HETEROSCEDASTIC:
         ell, octx = objective._ell2_fwd(mean, cov, ys, mode)
         bwd = objective._ell2_bwd
     else:
         ell, octx = objective._ell1_fwd(mean, cov, ys, mode)
         bwd = objective._ell1_bwd
-    loss = -float(np.mean(ell))
-    if not math.isfinite(loss):
+    # np.mean's bits without its Python-level wrapper: each pass's rows are
+    # one contiguous pairwise sum, then one division.
+    ell = ell.reshape(passes, -1)
+    losses = -(np.add.reduce(ell, axis=1) / ell.shape[1])
+    if not np.isfinite(losses).all():
         raise FloatingPointError("non-finite training loss")
-    return loss, bwd, octx
+    return losses, bwd, octx
 
 
 def loss(config: ModelConfig, params: ParameterSet, xs, ys, resume=None) -> float:
@@ -356,7 +365,7 @@ def loss(config: ModelConfig, params: ParameterSet, xs, ys, resume=None) -> floa
     state of `_run_layers` for this batch, the pass starts at its layer."""
     xs, ys = _batch(xs, ys)
     mean, cov = _run_layers(config, params, xs, resume=resume)
-    return _head_loss(config, mean, cov, ys)[0]
+    return float(_head_loss(config, mean, cov, ys)[0][0])
 
 
 def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
@@ -373,7 +382,8 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
     moments._open_step()
     try:
         mean, cov, tape = _forward_tape(config, params, xs)
-        loss, head_bwd, octx = _head_loss(config, mean, cov, ys)
+        losses, head_bwd, octx = _head_loss(config, mean, cov, ys)
+        loss = float(losses[0])
         g_mean, g_cov = head_bwd(octx, np.full(batch, -1.0 / batch))
 
         grads = GradientSet([None] * len(params.weights), [None] * len(params.biases))
