@@ -138,8 +138,10 @@ def load_csv(path, label_col: int = -1, drop_cols=()) -> Dataset:
     """Numeric CSV with optional auto-detected header; one column is the label.
 
     The label column defaults to the last; `drop_cols` names columns (by
-    original index) to exclude from the features.  Ragged rows, non-numeric
-    cells, and empty files are hard errors citing the 1-based row/column.
+    original index) to exclude from the features.  A column index lies in
+    [-ncols, ncols), negative ones counting from the end.  Ragged rows,
+    non-numeric cells, empty files and indices out of range are hard errors
+    citing the 1-based row/column or the index.
     """
     rows = []
     with open(path, "r", encoding="utf-8", newline="") as fh:
@@ -176,9 +178,15 @@ def load_csv(path, label_col: int = -1, drop_cols=()) -> Dataset:
                 raise ValueError(
                     f"{path}: non-numeric value {cell!r} at row {line_no}, column {j + 1}"
                 ) from None
-    label_col = label_col % ncols
+
+    def _column(index):
+        if not -ncols <= index < ncols:
+            raise ValueError(f"{path}: column index {index} out of range for {ncols} columns")
+        return index % ncols
+
+    label_col = _column(label_col)
     labels = data[:, label_col]
-    drop = set(int(c) % ncols for c in drop_cols) | {label_col}
+    drop = {_column(int(c)) for c in drop_cols} | {label_col}
     keep = [j for j in range(ncols) if j not in drop]
     if not keep:
         raise ValueError(f"{path}: no feature columns left")

@@ -37,8 +37,9 @@ lends the contiguous prefix of one that is at least as long, reshaped: a
 batch-last array stays C-contiguous whatever its B, so the kernels' flat
 reshapes stay views.  Every lent buffer returns to the pool when the step
 closes, and `_release` returns one earlier once nothing reads it any more.
-The pool holds, for the life of its thread, about the memory of the
-largest step that thread ran.
+The kernels release nothing; `network._run_layers` alone decides when a
+layer's input is no longer read.  The pool holds, for the life of its
+thread, about the memory of the largest step that thread ran.
 
 Guard rule: the gates decide both the clamp of their input variances and
 whether any unit's σ is below `SIGMA_FLOOR` from one `min` (sqrt is
@@ -321,11 +322,8 @@ def _dense_fwd(mean, cov, w, b, mode):
             np.dot(w, cov.reshape(n, n * batch), out=wsig.reshape(m, n * batch))
         out_cov = np.matmul(w, wsig, out=_empty((m, m, batch)))
         _clamp_diag_inplace(out_cov, "dense_propagate")
-        # The adjoint reads W Σ when m < n and Σ otherwise (see `training`).
-        if m < n:
-            return out_mean, out_cov, (mean, w, wsig)
-        _release(wsig)
-        return out_mean, out_cov, (mean, w, cov)
+        # The adjoint reads W Σ, not Σ (see `training`).
+        return out_mean, out_cov, (mean, w, wsig)
     out_cov = np.dot(cov, (w * w).T)
     out_cov = _clamp_variances(out_cov, "dense_propagate")
     return out_mean, out_cov, (mean, w, cov)

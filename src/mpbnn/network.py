@@ -212,13 +212,13 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     `tape` list, every layer from the first dense layer up appends
     (layer index, kind, index of the latest dense layer, ctx) for the
     backward pass; layers below it have no parameters and nothing above
-    depends on their adjoints.  Also only then, a full-mode dropout layer's
-    input covariance goes back to the step's buffer pool once the layer has
-    run: its context keeps none of it, while a gate context keeps its input
-    covariance.  A full-mode dense context keeps the layer's input Σ, or,
-    when the layer has fewer outputs than inputs (the head), the (m, n, B)
-    W Σ of its forward pass instead (see `training`).  (Diag-mode arrays
-    are not pooled, so that release is a no-op there.)  A full-mode
+    depends on their adjoints.  Also only then, the input covariance of
+    every dense and dropout layer goes back to the step's buffer pool once
+    the layer has run: a dropout context keeps none of it, and a full-mode
+    dense context keeps the (m, n, B) W Σ of its forward pass instead (see
+    `training`), while a gate context keeps its input covariance.  This is
+    the one place a buffer goes back before the step closes.  (Diag-mode
+    arrays are not pooled, so the release is a no-op there.)  A full-mode
     covariance comes back batch-last (see `moments`).
 
     With a `states` list, the pass appends (layer index, dense index, mean,
@@ -240,7 +240,7 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
         cov_in = cov
         mean, cov, ctx = _FWD[kind](layer, mean, cov, wb, mode)
         if tape is not None:
-            if kind == DROPOUT:
+            if kind in (DENSE, DROPOUT):
                 moments._release(cov_in)
             if dense_i:
                 tape.append((layer_i, kind, dense_i - 1, ctx))

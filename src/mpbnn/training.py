@@ -18,13 +18,13 @@ the floor (see `moments`); the adjoints then skip the masks.
 Finite differences are kept as a test oracle only; this module is the
 production gradient path.  `loss_and_gradients` runs a taped forward pass
 and the backward pass inside a pooled step (see `moments`).  `loss` gives
-the same loss, bit for bit, from the forward pass alone, also when resumed
-from a recorded state.  Both take their input checks and head objective
-from one place (`_batch`, `_head_loss`).  `_head_loss` also scores several
-passes stacked along the batch axis, each to the bits of its own call: the
-finite-difference probes of `cli.fd_check` score the head moments of up to
-`cli.FD_CHUNK_ROWS` rows of probes with one call, 24 calls for the 1320
-probes of an `mpbnn check` sweep.
+the same loss, bit for bit, from the forward pass alone: the whole-pass
+reference of the finite-difference tests.  Both take their input checks
+and head objective from one place (`_batch`, `_head_loss`).  `_head_loss`
+also scores several passes stacked along the batch axis, each to the bits
+of its own call: the finite-difference probes of `cli.fd_check` score the
+head moments of up to `cli.FD_CHUNK_ROWS` rows of probes with one call, 24
+calls for the 1320 probes of an `mpbnn check` sweep.
 
 `train` and `evaluate_model` run with BLAS pinned to one thread
 (`single_thread_blas`): through threadpoolctl when it is installed, else
@@ -181,45 +181,38 @@ class GradientSet:
 # overwrite it with their full-mode result.
 #
 # The dense adjoint of Σ' = W Σ Wᵀ, per batch entry, with H = g W (m × n):
-#     g_Σ = Wᵀ g W = Wᵀ H,   g_W = 2 g W Σ = 2 H Σ = 2 g (W Σ)   (g and Σ symmetric).
-# Batch-last, H is matmul(Wᵀ, g) over g's leading axis, m GEMMs of
-# (n, m)(m, B) into an (m, n, B) array, and g_Σ is a flat GEMM over (·, n·B).
-# g_W, summed over the batch, takes whichever of Σ and W Σ is smaller:
-# H Σ, one flat GEMM, costs m·n²·B, and g (W Σ), m GEMMs of (m, B)(B, n),
-# costs m²·n·B.  So a layer with m < n (the head) keeps on the tape the W Σ
-# that its forward pass formed, and any other layer keeps its input Σ.
+#     g_Σ = Wᵀ g W = Wᵀ H,   g_W = 2 g W Σ = 2 g (W Σ)   (g and Σ symmetric).
+# Every full-mode dense context keeps the (m, n, B) W Σ that its forward
+# pass formed, never its input Σ, so g_W, summed over the batch, is m GEMMs
+# of (m, B)(B, n).  Batch-last, H is matmul(Wᵀ, g) over g's leading axis,
+# m GEMMs of (n, m)(m, B) into an (m, n, B) array, and g_Σ is a flat GEMM
+# over (·, n·B); both are formed only when the input adjoints are wanted.
 # ---------------------------------------------------------------------------
 
 
 def _dense_bwd(ctx, g_mean, g_cov, mode, input_grad=True):
     """Parameter adjoints and, unless `input_grad` is false, input adjoints
     (returned as None otherwise: nothing uses them below the first dense
-    layer, which is also the only place a full-mode input is diagonal)."""
+    layer).  The context is (input mean, W, W Σ) in full mode and (input
+    mean, W, input variances) in diag mode."""
     in_mean, w, cov = ctx
     g_b = g_mean.sum(axis=0)
     g_w = g_mean.T @ in_mean
-    m, n = w.shape
     if mode != FULL:
         # cov is the input variance vector.
         g_w += 2.0 * w * (g_cov.T @ cov)
         if not input_grad:
             return None, None, g_w, g_b
         return g_mean @ w, g_cov @ (w * w), g_w, g_b
-    batch = g_mean.shape[0]
-    h = np.matmul(w.T, g_cov, out=moments._empty((m, n, batch)))
-    h_flat = h.reshape(m, n * batch)
-    if m < n:
-        # cov is W Σ, (m, n, B): Σ_b g_b (W Σ)_b as m GEMMs, summed.
-        g_w += 2.0 * np.matmul(g_cov.transpose(1, 0, 2), cov.transpose(0, 2, 1)).sum(axis=0)
-    elif cov.ndim == 2:
-        # Σ = diag(v): (H Σ)_ki = H_ki v_i, summed over the batch.
-        g_w += 2.0 * np.einsum("kib,bi->ki", h, cov)
-    else:
-        g_w += 2.0 * np.dot(h_flat, cov.reshape(n, n * batch).T)
+    # cov is W Σ, (m, n, B): Σ_b g_b (W Σ)_b as m GEMMs, summed.
+    g_w += 2.0 * np.matmul(g_cov.transpose(1, 0, 2), cov.transpose(0, 2, 1)).sum(axis=0)
     if not input_grad:
         return None, None, g_w, g_b
+    m, n = w.shape
+    batch = g_mean.shape[0]
+    h = np.matmul(w.T, g_cov, out=moments._empty((m, n, batch)))
     g_cov_in = moments._empty((n, n, batch))
-    np.dot(w.T, h_flat, out=g_cov_in.reshape(n, n * batch))
+    np.dot(w.T, h.reshape(m, n * batch), out=g_cov_in.reshape(n, n * batch))
     return g_mean @ w, g_cov_in, g_w, g_b
 
 
@@ -359,12 +352,11 @@ def _head_loss(config, mean, cov, ys, passes=1):
     return losses, bwd, octx
 
 
-def loss(config: ModelConfig, params: ParameterSet, xs, ys, resume=None) -> float:
+def loss(config: ModelConfig, params: ParameterSet, xs, ys) -> float:
     """The loss of `loss_and_gradients`, bit for bit, from the forward pass
-    alone: no tape, no backward pass and no pooled step.  With `resume`, a
-    state of `_run_layers` for this batch, the pass starts at its layer."""
+    alone: no tape, no backward pass and no pooled step."""
     xs, ys = _batch(xs, ys)
-    mean, cov = _run_layers(config, params, xs, resume=resume)
+    mean, cov = _run_layers(config, params, xs)
     return float(_head_loss(config, mean, cov, ys)[0][0])
 
 

@@ -186,6 +186,19 @@ class TestUciCommand:
         last = err.splitlines()[-1]
         assert last.startswith(f"error: {manifest}: ") and message in last
 
+    def test_out_of_range_column_is_an_error(self, tmp_path, capsys):
+        manifest = write_synth_dataset(tmp_path)
+        doc = json.loads(manifest.read_text())
+        doc["synth"]["label_col"] = 3
+        manifest.write_text(json.dumps(doc))
+        code = cli.main(["uci", "--manifest", str(manifest), "--dataset", "synth",
+                         "--arch", "relu", "--out", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.splitlines()[-1] == (
+            f"error: {tmp_path / 'synth.csv'}: column index 3 out of range for 3 columns")
+
     def test_pool_matches_serial(self):
         """The process pool trains and scores every split exactly as the
         serial loop does, in the grid search and the final phase."""

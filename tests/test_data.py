@@ -80,6 +80,25 @@ class TestLoadCsv:
         np.testing.assert_array_equal(ds.labels, [2.0, 6.0])
         np.testing.assert_array_equal(ds.features, [[1.0, 3.0], [5.0, 7.0]])
 
+    def test_negative_indices_count_from_the_end(self, tmp_path):
+        ds = data.load_csv(
+            self.write(tmp_path, "1,2,3,4\n5,6,7,8\n"), label_col=-4, drop_cols=(-1,)
+        )
+        np.testing.assert_array_equal(ds.labels, [1.0, 5.0])
+        np.testing.assert_array_equal(ds.features, [[2.0, 3.0], [6.0, 7.0]])
+
+    @pytest.mark.parametrize("label_col, drop_cols, index", [
+        (3, (), 3),      # wrapped, it would be column 0
+        (-4, (), -4),    # wrapped, column 2
+        (-1, (5,), 5),   # wrapped, it would drop column 2
+        (0, (1, -7), -7),
+    ])
+    def test_out_of_range_column_is_an_error(self, tmp_path, label_col, drop_cols, index):
+        path = self.write(tmp_path, "1,2,3\n4,5,6\n")
+        with pytest.raises(ValueError) as exc:
+            data.load_csv(path, label_col=label_col, drop_cols=drop_cols)
+        assert str(exc.value) == f"{path}: column index {index} out of range for 3 columns"
+
 
 class TestMakeSplits:
     def test_partition_sizes_at_n_100(self):

@@ -238,6 +238,12 @@ class TestLoss:
         assert str(got.value) == str(want.value)
 
 
+def resumed(config, params, xs, ys, state):
+    """The loss of a pass resumed from `state`, scored as `tr.loss` scores one."""
+    mean, cov = net._run_layers(config, params, xs, resume=state)
+    return float(tr._head_loss(config, mean, cov, ys)[0][0])
+
+
 class TestResume:
     """A pass resumed from a state recorded before a dense layer gives the
     whole pass's loss, and `fd_check` probes resume from such states."""
@@ -260,10 +266,10 @@ class TestResume:
             assert [s[:2] for s in states] == [(i, d) for d, i in enumerate(dense_layers)]
             whole = tr.loss(config, params, x, y)
             for li, state in enumerate(states):
-                assert tr.loss(config, params, x, y, resume=state) == whole
+                assert resumed(config, params, x, y, state) == whole
                 # A parameter of the resumed layer may change; those below it may not.
                 params.weights[li][0, 0] += 1e-3
-                assert tr.loss(config, params, x, y, resume=state) == tr.loss(config, params, x, y)
+                assert resumed(config, params, x, y, state) == tr.loss(config, params, x, y)
                 params.weights[li][0, 0] -= 1e-3
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
@@ -537,9 +543,9 @@ class TestAdjointDotProduct:
         return symmetric_like(rng, a) if a.ndim == 3 else rng.standard_normal(a.shape)
 
     @pytest.mark.parametrize("m_out, n_in, input_grad", [
-        (2, 5, True),   # the head: m < n, its context keeps W Σ
-        (5, 5, True),   # a square hidden layer: its context keeps Σ
-        (7, 5, True),   # m > n with a full input: also keeps Σ
+        (2, 5, True),   # the head: m < n
+        (5, 5, True),   # a square hidden layer
+        (7, 5, True),   # m > n with a full input
         (6, 4, False),  # the first layer: a variance-vector input, g_W and g_b only
     ])
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
@@ -689,6 +695,62 @@ class TestStepBufferPool:
         assert not any(np.shares_memory(out, arr) for out in returned for arr in lent)
         for got, want in zip((fb_cov, mv.mean, mv.cov), kept):
             np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("arch, pooled", [(net.ARCH_MP_GELU, 2), (net.ARCH_RELU, 4)])
+    def test_taped_pass_releases_each_dense_and_dropout_input_once(self, monkeypatch, arch,
+                                                                   pooled):
+        """In a taped full-mode pass `_run_layers` hands the input covariance
+        of every dense and dropout layer to `_release` once, after the layer
+        ran, and each pooled one goes back to the pool then.  No gate's input
+        covariance, which its context keeps, goes back, and every dense
+        context keeps its (m, n, B) W Σ instead of its input."""
+        batch = 7
+        config = net.build_model(arch, 3, 5, 0.2, m.FULL, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 1)
+        rng = np.random.default_rng(8)
+        x, y = rng.standard_normal((batch, 3)), rng.standard_normal(batch)
+        calls, released, gate_bases = [], [], []
+
+        def spy(kind, kernel):
+            def run(mean, cov, *args):
+                lent = id(cov.base) in m._pool.lent
+                out = kernel(mean, cov, *args)
+                calls.append((kind, cov, lent, cov.copy(), args, out[2]))
+                if kind in (net.MP_GELU, net.RELU):
+                    gate_bases.append(cov.base)
+                return out
+            return run
+
+        for kind in (net.DENSE, net.DROPOUT, net.MP_GELU, net.RELU):
+            monkeypatch.setattr(m, f"_{kind}_fwd", spy(kind, getattr(m, f"_{kind}_fwd")))
+        release = m._release
+
+        def recording(arr):
+            assert not any(arr.base is base for base in gate_bases), "a gate input went back"
+            released.append((arr, id(arr.base) in m._pool.lent))
+            release(arr)
+            assert id(arr.base) not in m._pool.lent
+
+        monkeypatch.setattr(m, "_release", recording)
+        for _ in range(2):  # the second step lends the first one's buffers again
+            for recorded in (calls, released, gate_bases):
+                recorded.clear()
+            tr.loss_and_gradients(config, params, x, y)
+            inputs = [(cov, lent) for kind, cov, lent, *_ in calls
+                      if kind in (net.DENSE, net.DROPOUT)]
+            assert len(released) == len(inputs)
+            for (arr, went_back), (cov, lent) in zip(released, inputs):
+                assert arr is cov and went_back == lent == (cov.ndim == 3)
+            assert sum(lent for _, lent in inputs) == pooled
+            assert gate_bases
+            for kind, _, _, cov, args, ctx in calls:
+                if kind == net.DENSE:
+                    w, wsig = args[0], ctx[2]
+                    assert wsig.shape == (*w.shape, batch)
+                    want = (np.einsum("ij,jkb->ikb", w, cov) if cov.ndim == 3
+                            else w[:, :, None] * cov.T)
+                    np.testing.assert_allclose(wsig, want, rtol=1e-12,
+                                               atol=1e-12 * np.abs(want).max())
 
 
 class TestSgdStep:
