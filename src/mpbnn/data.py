@@ -144,7 +144,8 @@ def load_csv(path, label_col: int = -1, drop_cols=()) -> Dataset:
     citing the 1-based row/column or the index.
     """
     rows = []
-    with open(path, "r", encoding="utf-8", newline="") as fh:
+    # utf-8-sig drops a byte-order mark, which would make row 1 read as a header.
+    with open(path, "r", encoding="utf-8-sig", newline="") as fh:
         for line_no, cells in enumerate(csv.reader(fh), start=1):
             if not cells:
                 continue

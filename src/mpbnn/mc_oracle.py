@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .moments import FULL, MomentError, MomentVector, VAR_CLAMP, _diag, _gate_rates
+from .moments import FULL, MomentError, MomentVector, VAR_CLAMP, _gate_rates
 from .network import _FWD, DENSE, DROPOUT, MP_GELU, RELU, LayerSpec
 
 
@@ -89,10 +89,10 @@ def _empirical(draws: np.ndarray) -> McEstimate:
     return McEstimate(mean, cov, se_mean, se_cov, s)
 
 
-def _sample_layer(layer: LayerSpec, draws, rng, mean, var, wb):
-    """One layer applied to the (samples, n) `draws`.  `mean` and `var` are
-    the analytic (1, n) moments of the layer's input, which the gated
-    activation's rates come from; `wb` is a dense layer's (weights, bias)."""
+def _sample_layer(layer: LayerSpec, draws, rng, mean, cov, wb):
+    """One layer applied to the (samples, n) `draws`.  `mean` and `cov`, the
+    analytic moments of the layer's input as a batch of one, give the gated
+    activation's rates; `wb` is a dense layer's (weights, bias)."""
     if layer.kind == DENSE:
         w, b = wb
         out = draws @ w.T
@@ -102,7 +102,7 @@ def _sample_layer(layer: LayerSpec, draws, rng, mean, var, wb):
         keep = rng.random(draws.shape) < (1.0 - layer.rate)
         return np.multiply(draws, keep, out=draws)
     if layer.kind == MP_GELU:
-        rates, _, _, _ = _gate_rates(mean, var, "mc oracle")
+        rates, _, _, _ = _gate_rates(mean, cov, "mc oracle")
         keep = rng.random(draws.shape) < (1.0 - rates[0])
         return np.multiply(draws, keep, out=draws)
     if layer.kind == RELU:
@@ -175,7 +175,6 @@ def mc_network_moments(config, params, x, samples: int, seed) -> McEstimate:
         if layer.kind == DENSE:
             wb = (params.weights[dense_i], params.biases[dense_i])
             dense_i += 1
-        var = cov if cov.ndim == 2 else _diag(cov)
-        draws = _sample_layer(layer, draws, rng, mean, var, wb)
+        draws = _sample_layer(layer, draws, rng, mean, cov, wb)
         mean, cov, _ = _FWD[layer.kind](layer, mean, cov, wb, mode)
     return _empirical(draws)

@@ -10,8 +10,7 @@ in one operation is an error.
 Network inputs are deterministic, and dropout and the gated activations
 keep a covariance diagonal, so a full-mode pass carries per-unit variances
 up to its first dense layer, which expands them to W diag(v) Wᵀ.  Only the
-dense kernel reads the mode; every other kernel picks its formula from the
-covariance's shape.
+dense kernel reads the mode.
 
 The public operations work on single examples wrapped in `MomentVector`.
 Internally every formula is implemented once, in batched kernels; training
@@ -20,11 +19,14 @@ and the experiment runner call the kernels directly for speed.
 Layout rule: inside the kernels a mean is (B, n) and a diag-mode covariance
 (B, n), but a full covariance is batch-last, a C-contiguous (n, n, B)
 array.  Then W Σ is one flat GEMM over (n, n·B), (W Σ) Wᵀ is a matmul over
-a leading axis of length m, and the gain scaling of the gates runs with B
-as the contiguous inner axis.  `_diag` gives the diagonals of such an array
-as a (B, n) view, in the layout of the mean, so the per-unit formulas are
-the same in both modes.  `forward_batch` and the public operations keep the
-(B, n, n) and (n, n) layouts of their callers.
+a leading axis of length m, and the gain scaling runs with B as the
+contiguous inner axis.  Dropout, the gate and the rectifier are gain
+layers: gain_i gain_j Σ_ij off the diagonal, their own variances on it.
+They read their input variances with `_variances` (`_diag`'s (B, n) view in
+full mode) and return their covariance through `_gained`, the only places
+that look at the layout, so their per-unit formulas are the same in both
+modes.  `forward_batch` and the public operations keep the (B, n, n) and
+(n, n) layouts of their callers.
 
 Buffer rule: the full-mode kernel outputs and scratch arrays come from
 `_empty`.  Outside a training step that is plain `np.empty`, so
@@ -41,13 +43,13 @@ The kernels release nothing; `network._run_layers` alone decides when a
 layer's input is no longer read.  The pool holds, for the life of its
 thread, about the memory of the largest step that thread ran.
 
-Guard rule: the gates decide both the clamp of their input variances and
-whether any unit's σ is below `SIGMA_FLOOR` from one `min` (sqrt is
-monotone, so some σ is below the floor exactly when sqrt(min var) is).  In
-the common case no unit is, and the kernel runs its plain formulas and puts
-`det = None` in its context; otherwise `det` is the mask of the
-deterministic units and the guarded formulas run.  Every adjoint accepts
-both, and gives the same bits on the other units either way.
+Guard rule: the gate and the rectifier read their inputs through
+`_gate_input`, which decides both the clamp of the variances and whether
+any unit's σ is below `SIGMA_FLOOR` from one `min` (sqrt is monotone), and
+forms α = μ/σ with σ = 1 on such units.  In the common case there are none:
+the kernel runs its plain formulas and puts `det = None` in its context;
+otherwise `det` is their mask and the guarded formulas run.  Every adjoint
+accepts both, and gives the same bits on the other units either way.
 """
 
 from __future__ import annotations
@@ -329,59 +331,66 @@ def _dense_fwd(mean, cov, w, b, mode):
     return out_mean, out_cov, (mean, w, cov)
 
 
-def _scale_gains(cov, gain, out):
-    """Writes gain_i gain_j cov_ij into `out`, which may be `cov`; the gates
-    and their adjoints then set the diagonal.  `gain` is (B, n)."""
-    gain = np.ascontiguousarray(gain.T)
-    np.multiply(cov, gain[:, None, :], out=out)
-    out *= gain[None, :, :]
+def _variances(cov) -> np.ndarray:
+    """The (B, n) per-unit variances of a kernel covariance in either layout."""
+    return _diag(cov) if cov.ndim == 3 else cov
+
+
+def _gained(cov, gain, var, out=None):
+    """gain_i gain_j cov_ij off the diagonal and `var` on it, into `out` (new
+    when None, or `cov` itself); in diag mode `var`.  `gain` is a scalar or
+    (B, n).  The map is its own adjoint, so the adjoints use it too."""
+    if cov.ndim != 3:
+        return var
+    out = _empty(cov.shape) if out is None else out
+    if isinstance(gain, np.ndarray):
+        gain = np.ascontiguousarray(gain.T)
+        np.multiply(cov, gain[:, None, :], out=out)
+        out *= gain[None, :, :]
+    else:
+        np.multiply(cov, gain * gain, out=out)
+    _diag(out, write=True)[...] = var
     return out
 
 
 def _dropout_fwd(mean, cov, rate, mode):
     p = float(rate)
     q = 1.0 - p
-    out_mean = q * mean
-    if cov.ndim == 3:
-        out_cov = np.multiply(cov, q * q, out=_empty(cov.shape))
-        out_var = np.multiply(_diag(cov), q, out=_diag(out_cov, write=True))
-    else:
-        out_cov = out_var = q * cov
+    out_var = q * _variances(cov)
     out_var += p * q * mean * mean
-    return out_mean, out_cov, (mean, p)
+    return q * mean, _gained(cov, q, out_var), (mean, p)
 
 
-def _gate_rates(mean, var, where):
-    """Drop probability Φ(−μ/σ) per unit, with the σ→0 sign limit.
+def _gate_input(mean, cov, where):
+    """(var, sigma, det) of a gate's input as from `_floor_guard`, and
+    alpha = μ/σ with σ taken as 1 on the `det` units."""
+    var, sigma, det = _floor_guard(_variances(cov), where)
+    alpha = mean / (sigma if det is None else np.where(det, 1.0, sigma))
+    return var, sigma, det, alpha
 
-    Returns (p, var, sigma, det): var clamped, and sigma and det as from
-    `_floor_guard`."""
-    var, sigma, det = _floor_guard(var, where)
-    if det is None:
-        return _norm_cdf(-mean / sigma), var, sigma, None
-    p = _norm_cdf(-mean / np.where(det, 1.0, sigma))
-    limit = np.where(mean > 0.0, 0.0, np.where(mean < 0.0, 1.0, 0.5))
-    return np.where(det, limit, p), var, sigma, det
+
+def _gate_rates(mean, cov, where):
+    """Drop probability Φ(−μ/σ) per unit, with the σ→0 sign limit; `cov` in
+    either layout.  Returns (p, var, sigma, det) as from `_gate_input`."""
+    var, sigma, det, alpha = _gate_input(mean, cov, where)
+    p = _norm_cdf(-alpha)
+    if det is not None:
+        limit = np.where(mean > 0.0, 0.0, np.where(mean < 0.0, 1.0, 0.5))
+        p = np.where(det, limit, p)
+    return p, var, sigma, det
 
 
 def _mp_gelu_fwd(mean, cov, mode):
-    full = cov.ndim == 3
-    p, var, sigma, det = _gate_rates(mean, _diag(cov) if full else cov, "mp_gelu_propagate")
+    p, var, sigma, det = _gate_rates(mean, cov, "mp_gelu_propagate")
     q = 1.0 - p
     out_mean = q * mean
-    if full:
-        out_cov = _scale_gains(cov, q, _empty(cov.shape))
-        out_var = np.multiply(q, var, out=_diag(out_cov, write=True))
-    else:
-        out_cov = out_var = q * var
+    out_var = q * var
     out_var += p * out_mean * mean
-    return out_mean, out_cov, (mean, var, cov, p, q, sigma, det)
+    return out_mean, _gained(cov, q, out_var), (mean, var, cov, p, q, sigma, det)
 
 
 def _relu_fwd(mean, cov, mode):
-    var = _diag(cov) if cov.ndim == 3 else cov
-    var, sigma, det = _floor_guard(var, "relu_propagate")
-    alpha = mean / (sigma if det is None else np.where(det, 1.0, sigma))
+    var, sigma, det, alpha = _gate_input(mean, cov, "relu_propagate")
     # Both tails of Φ(α) from one erf: lo = Φ(−|α|) is the small one and
     # keeps its relative precision; the other is 1 − lo.
     nabs = np.copysign(alpha, -1.0)
@@ -405,11 +414,7 @@ def _relu_fwd(mean, cov, mode):
         # gain·gain·Σ_ij off the diagonal would not be PSD.
         out_mean = np.where(det, np.maximum(mean, 0.0), out_mean)
         out_var = np.where(det, cdf * cdf * var, out_var)
-    if cov.ndim == 3:
-        out_cov = _scale_gains(cov, cdf, _empty(cov.shape))
-        _diag(out_cov, write=True)[...] = out_var
-    else:
-        out_cov = out_var
+    out_cov = _gained(cov, cdf, out_var)
     return out_mean, out_cov, (mean, var, cov, sigma, det, cdf, lo, pdf, out_mean)
 
 
@@ -471,7 +476,7 @@ def mp_gelu_rates(mv: MomentVector) -> GateRates:
     For σ_i below 1e-12 the deterministic limit applies: 1 for negative
     mean, 0 for positive, 0.5 at exactly zero.
     """
-    p, _, _, _ = _gate_rates(mv.mean[None], np.atleast_2d(mv.variances), "mp_gelu_rates")
+    p, _, _, _ = _gate_rates(*_as_batch(mv), "mp_gelu_rates")
     return GateRates(p[0])
 
 

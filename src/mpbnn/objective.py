@@ -176,12 +176,16 @@ def predictive_moments(head_mv: MomentVector, head_type: str) -> PredictiveMomen
     return PredictiveMoments(float(m), float(v))
 
 
+def _gaussian_nll(mean, var, y):
+    """Negative log-density of y under N(mean, var), element-wise."""
+    return 0.5 * (LOG_2PI + np.log(var) + (y - mean) ** 2 / var)
+
+
 def nll_metric(pm: PredictiveMoments, y: float) -> float:
     """Negative Gaussian log-density of y under the predictive."""
     if not pm.variance > 0.0:
         raise MomentError("predictive variance must be positive")
-    resid = y - pm.mean
-    return 0.5 * (LOG_2PI + math.log(pm.variance) + resid * resid / pm.variance)
+    return float(_gaussian_nll(pm.mean, pm.variance, y))
 
 
 def rmse(preds, ys) -> float:

@@ -10,6 +10,7 @@ standard normal CDF/PDF, q = Φ(α) the keep probability:
             ∂E[r²]/∂μ = 2·mean', ∂E[r²]/∂var = Φ(α)
             ⇒ ∂var'/∂μ = 2·mean'·(1-Φ), ∂var'/∂var = Φ - mean'·φ/σ
 
+The rectifier's off-diagonal gain is q too: both use `_gate_rate_derivs`.
 Where σ is below the deterministic floor the rates/gains are constants of
 the input and their derivative terms are zero (the rectifier-limit
 subgradient convention).  A context's `det` is None when no unit is below
@@ -177,8 +178,9 @@ class GradientSet:
 # with dL = Σ_ij g_ij dΣ_ij for every symmetric dΣ, so a term that reads
 # Σ_ij (i ≠ j) splits its derivative evenly over g_ij and g_ji.  Every
 # kernel maps a symmetric g_cov to a symmetric one.  Nothing else holds a
-# g_cov once it is passed down, so the gate and dropout adjoints may
-# overwrite it with their full-mode result.
+# g_cov once it is passed down, so the gain layers' adjoints overwrite it:
+# the gain map of `moments._gained` is its own adjoint, and each returns
+# `_gained(g_cov, gain, g_var_in, out=g_cov)`.
 #
 # The dense adjoint of Σ' = W Σ Wᵀ, per batch entry, with H = g W (m × n):
 #     g_Σ = Wᵀ g W = Wᵀ H,   g_W = 2 g W Σ = 2 g (W Σ)   (g and Σ symmetric).
@@ -219,28 +221,23 @@ def _dense_bwd(ctx, g_mean, g_cov, mode, input_grad=True):
 def _dropout_bwd(ctx, g_mean, g_cov, mode):
     in_mean, p = ctx
     q = 1.0 - p
-    if g_cov.ndim == 3:
-        g_diag = moments._diag(g_cov)
-        g_mean_in = q * g_mean + g_diag * (2.0 * p * q * in_mean)
-        g_var_in = q * g_diag  # a copy: g_diag is a view of g_cov
-        g_cov_in = np.multiply(g_cov, q * q, out=g_cov)
-        moments._diag(g_cov_in, write=True)[...] = g_var_in
-    else:
-        g_mean_in = q * g_mean + g_cov * (2.0 * p * q * in_mean)
-        g_cov_in = q * g_cov
-    return g_mean_in, g_cov_in
+    g_diag = moments._variances(g_cov)
+    g_mean_in = q * g_mean + g_diag * (2.0 * p * q * in_mean)
+    return g_mean_in, moments._gained(g_cov, q, q * g_diag, out=g_cov)
 
 
-def _gate_rate_derivs(mean, var, sigma, det):
-    """(∂q/∂μ, ∂q/∂var) for q = Φ(μ/σ); zero in the deterministic limit."""
+def _gate_rate_derivs(mean, var, sigma, det, pdf=None):
+    """(∂q/∂μ, ∂q/∂var) for q = Φ(μ/σ); zero in the deterministic limit.
+    `pdf`, when given, is the caller's φ(μ/σ), already zero on `det`."""
     if det is not None:
         # With σ = var = 1 and φ = 0 there, both derivatives are 0.
         sigma = np.where(det, 1.0, sigma)
         var = np.where(det, 1.0, var)
     alpha = mean / sigma
-    pdf = _INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha)
-    if det is not None:
-        pdf = np.where(det, 0.0, pdf)
+    if pdf is None:
+        pdf = _INV_SQRT_2PI * np.exp(-0.5 * alpha * alpha)
+        if det is not None:
+            pdf = np.where(det, 0.0, pdf)
     return pdf / sigma, -pdf * alpha / (2.0 * var)
 
 
@@ -255,20 +252,14 @@ def _offdiag_gain_adjoint(g_cov, in_cov, gain):
 def _mp_gelu_bwd(ctx, g_mean, g_cov, mode):
     mean, var, in_cov, p, q, sigma, det = ctx
     dq_dmu, dq_dvar = _gate_rate_derivs(mean, var, sigma, det)
-    full = g_cov.ndim == 3
-    g_diag = moments._diag(g_cov) if full else g_cov
+    g_diag = moments._variances(g_cov)
     # var' = q·var + (q - q²)·μ²  ⇒  ∂var'/∂q = var + (1 - 2q)·μ²
     g_q = g_mean * mean + g_diag * (var + (1.0 - 2.0 * q) * mean * mean)
-    if full:
+    if g_cov.ndim == 3:
         g_q += _offdiag_gain_adjoint(g_cov, in_cov, q)
     g_mean_in = q * g_mean + g_diag * (2.0 * p * q * mean) + g_q * dq_dmu
     g_var_in = q * g_diag + g_q * dq_dvar
-    if full:
-        g_cov_in = moments._scale_gains(g_cov, q, g_cov)
-        moments._diag(g_cov_in, write=True)[...] = g_var_in
-    else:
-        g_cov_in = g_var_in
-    return g_mean_in, g_cov_in
+    return g_mean_in, moments._gained(g_cov, q, g_var_in, out=g_cov)
 
 
 def _relu_bwd(ctx, g_mean, g_cov, mode):
@@ -284,19 +275,16 @@ def _relu_bwd(ctx, g_mean, g_cov, mode):
     dv_dvar = cdf - out_mean * pdf / sigma
     if det is not None:
         dv_dvar = np.where(det, cdf * cdf, dv_dvar)
+    g_diag = moments._variances(g_cov)
+    g_mean_in = g_mean * cdf + g_diag * dv_dmu
+    g_var_in = g_mean * dm_dvar + g_diag * dv_dvar
     if g_cov.ndim == 3:
-        g_diag = moments._diag(g_cov)
+        # σ and var are already 1 on `det`, where the context's φ is 0.
         g_gain = _offdiag_gain_adjoint(g_cov, in_cov, cdf)
-        dgain_dmu = pdf / sigma
-        dgain_dvar = -pdf * (mean / sigma) / (2.0 * var)
-        g_mean_in = g_mean * cdf + g_diag * dv_dmu + g_gain * dgain_dmu
-        g_var_in = g_mean * dm_dvar + g_diag * dv_dvar + g_gain * dgain_dvar
-        g_cov_in = moments._scale_gains(g_cov, cdf, g_cov)
-        moments._diag(g_cov_in, write=True)[...] = g_var_in
-    else:
-        g_mean_in = g_mean * cdf + g_cov * dv_dmu
-        g_cov_in = g_mean * dm_dvar + g_cov * dv_dvar
-    return g_mean_in, g_cov_in
+        dgain_dmu, dgain_dvar = _gate_rate_derivs(mean, var, sigma, None, pdf)
+        g_mean_in += g_gain * dgain_dmu
+        g_var_in += g_gain * dgain_dvar
+    return g_mean_in, moments._gained(g_cov, cdf, g_var_in, out=g_cov)
 
 
 # Adjoint per parameter-free layer kind, each looked up when called (see
@@ -451,9 +439,8 @@ def evaluate_model(config: ModelConfig, params: ParameterSet, xs, ys):
     with single_thread_blas():
         mean, cov = forward_batch(config, params, xs)
     pm, pv = objective._predictive_batch(mean, cov, config.head, config.covariance_mode)
-    nll = 0.5 * (objective.LOG_2PI + np.log(pv) + (ys - pm) ** 2 / pv)
     return {
-        "nll": float(np.mean(nll)),
+        "nll": float(np.mean(objective._gaussian_nll(pm, pv, ys))),
         "rmse": objective.rmse(pm, ys),
         "pred_mean": pm,
         "pred_var": pv,

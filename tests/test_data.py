@@ -59,6 +59,15 @@ class TestLoadCsv:
         ds = data.load_csv(self.write(tmp_path, "a,b,y\n1,2,3\n4,5,6\n"))
         assert ds.n == 2 and ds.q == 2
 
+    @pytest.mark.parametrize("text, labels", [("1,2,3\n4,5,6\n7,8,9\n", [3.0, 6.0, 9.0]),
+                                              ("a,b,y\n1,2,3\n4,5,6\n", [3.0, 6.0])])
+    def test_byte_order_mark_is_not_a_header(self, tmp_path, text, labels):
+        """A UTF-8 byte-order mark must not make the first data row read as
+        a header; a real header behind one is still detected."""
+        ds = data.load_csv(self.write(tmp_path, "\ufeff" + text))
+        assert ds.q == 2
+        np.testing.assert_array_equal(ds.labels, labels)
+
     def test_non_numeric_cell_cites_row(self, tmp_path):
         path = self.write(tmp_path, "1,2,3\n4,abc,6\n")
         with pytest.raises(ValueError, match="row 2"):

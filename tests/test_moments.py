@@ -303,7 +303,8 @@ class TestModeAgreement:
         var = np.array([c[1] for c in cells])
         mv_d = diag_mv(mean, var)
         mv_f = full_mv(mean, np.diag(var))
-        for op in (lambda v: m.dropout_propagate(v, 0.3), m.mp_gelu_propagate):
+        for op in (lambda v: m.dropout_propagate(v, 0.3), m.mp_gelu_propagate,
+                   m.relu_propagate):
             out_d = op(mv_d)
             out_f = op(mv_f)
             np.testing.assert_allclose(out_f.mean, out_d.mean, atol=1e-12, rtol=0)
