@@ -1,5 +1,9 @@
 """The MC oracle itself: semantics, standard-error behavior, degeneracies."""
 
+import json
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -26,6 +30,36 @@ class TestSampling:
         mv = m.MomentVector(np.array([0.0, 0.0]), cov, m.FULL)
         with pytest.raises(m.MomentError):
             sample_input(mv, 1000, np.random.default_rng(0))
+
+    def test_rank_deficient_covariance_accepted(self):
+        # A widening dense layer's output covariance has rank 3 in 6 units;
+        # at a largest eigenvalue of ~1e6 its zero eigenvalues come out of
+        # eigh as roundoff of either sign, below -1e-10 on some seeds.
+        for seed in range(40):
+            rng = np.random.default_rng(seed)
+            mv = m.MomentVector(rng.standard_normal(3), np.diag(rng.uniform(50, 150, 3)), m.FULL)
+            out = m.dense_propagate(mv, 30 * rng.standard_normal((6, 3)), rng.standard_normal(6))
+            draws = sample_input(out, 1000, np.random.default_rng(seed))
+            assert np.all(np.isfinite(draws))
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_stream_order(self, mode):
+        """Draw k of unit j is entry (k, j) of one (samples, n) standard-normal
+        call, so the same seed gives the same sample in any draw layout or
+        blocking."""
+        samples, mean = 20_000, np.array([0.5, -2.0, 3.0])
+        cov = np.array([[2.0, 0.3, -0.4], [0.3, 1.0, 0.2], [-0.4, 0.2, 0.5]])
+        if mode == m.DIAG:
+            cov = np.diag(cov).copy()
+        mv = m.MomentVector(mean, cov, mode)
+        got = sample_input(mv, samples, np.random.default_rng(21))
+        z = np.random.default_rng(21).standard_normal((samples, 3))
+        if mode == m.DIAG:
+            np.testing.assert_array_equal(got, z * np.sqrt(cov) + mean)
+        else:
+            evals, evecs = np.linalg.eigh(cov)
+            want = z @ (evecs * np.sqrt(evals)).T + mean
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
     def test_minimum_sample_count_enforced(self):
         mv = m.MomentVector(np.zeros(2), np.ones(2), m.DIAG)
@@ -71,6 +105,31 @@ class TestLayerSemantics:
             LayerSpec(DENSE, in_dim=2, out_dim=3), mv, 10**4, seed=8, weights=w, bias=b,
         )
         np.testing.assert_array_equal(est.mean, w @ mv.mean + b)
+        assert np.all(est.cov == 0.0)
+        assert np.all(est.standard_error_mean == 0.0)
+        assert np.all(est.standard_error_cov == 0.0)
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_constant_rectifier_unit_is_exact_with_zero_se(self, mode):
+        # Unit 1 sits 50 sd below zero, so every draw of it clips to 0.
+        sd = np.array([1.0, 0.8, 1.5])
+        mean = np.array([0.4, -50.0 * sd[1], -0.3])
+        corr = np.array([[1.0, 0.5, 0.2], [0.5, 1.0, -0.4], [0.2, -0.4, 1.0]])
+        cov = corr * np.outer(sd, sd) if mode == m.FULL else sd * sd
+        est = mc_layer_moments(LayerSpec(RELU), m.MomentVector(mean, cov, mode), 10**4, seed=12)
+        assert est.mean[1] == 0.0
+        assert np.all(est.cov[1] == 0.0) and np.all(est.cov[:, 1] == 0.0)
+        assert est.standard_error_mean[1] == 0.0
+        assert np.all(est.standard_error_cov[1] == 0.0)
+        assert np.all(est.standard_error_cov[:, 1] == 0.0)
+        assert np.all(est.cov[[0, 2], [0, 2]] > 0.0)
+
+    def test_constant_whose_mean_rounds_is_exact(self):
+        # The mean of 10⁴ copies of 0.1 or 0.7 rounds away from them, so a
+        # plain mean over the draws misses them; centering gives them exactly.
+        mv = m.MomentVector(np.array([0.1, 0.7]), np.zeros((2, 2)), m.FULL)
+        est = mc_layer_moments(LayerSpec(RELU), mv, 10**4, seed=13)
+        np.testing.assert_array_equal(est.mean, mv.mean)
         assert np.all(est.cov == 0.0)
         assert np.all(est.standard_error_mean == 0.0)
         assert np.all(est.standard_error_cov == 0.0)
@@ -188,3 +247,44 @@ class TestInPlace:
             tracemalloc.stop()
         # The draws, two (samples,) buffers and the temporary of `std`.
         assert peak <= 2.6 * samples * 2 * 8
+
+
+def test_estimates_do_not_depend_on_blas_threads():
+    """In a fresh interpreter, every oracle estimate is bit-identical with
+    every OpenBLAS on two threads and on one: the (n, n) @ (n, block) and
+    Gram products are shapes that OpenBLAS can split across threads."""
+    code = (
+        "import hashlib, json\n"
+        "import numpy as np\n"
+        "from mpbnn import cli, mc_oracle, moments as m, training as tr\n"
+        "from mpbnn.network import LayerSpec\n"
+        "libs = tr._openblas_threads()\n"
+        "def digest():\n"
+        "    h = hashlib.sha256()\n"
+        "    for mode in (m.FULL, m.DIAG):\n"
+        "        for i, kind in enumerate(cli.LAYER_KINDS):\n"
+        "            rng = np.random.default_rng((i, 3))\n"
+        "            mv = cli._random_case(4, mode, rng)\n"
+        "            kw = {'weights': rng.standard_normal((3, 4)),\n"
+        "                  'bias': rng.standard_normal(3)} if kind == 'dense' else {}\n"
+        "            layer = LayerSpec(kind, in_dim=4, out_dim=3, rate=0.13)\n"
+        "            est = mc_oracle.mc_layer_moments(layer, mv, 10**5, i, **kw)\n"
+        "            for a in (est.mean, est.cov, est.standard_error_mean,\n"
+        "                      est.standard_error_cov):\n"
+        "                h.update(a.tobytes())\n"
+        "    head = m.MomentVector(np.array([0.3, -0.2]),\n"
+        "                          np.array([[0.5, 0.1], [0.1, 0.3]]), m.FULL)\n"
+        "    h.update(np.array(mc_oracle.mc_expected_ll(head, 0.4, 10**5, 5)).tobytes())\n"
+        "    return h.hexdigest()\n"
+        "out = []\n"
+        "for threads in (2, 1):\n"
+        "    for _, set_ in libs: set_(threads)\n"
+        "    out.append(digest())\n"
+        "print(json.dumps(out))\n"
+    )
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(m.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=120)
+    two, one = json.loads(out.stdout)
+    assert two == one
