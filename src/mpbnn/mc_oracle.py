@@ -7,23 +7,48 @@ the *input statistics* (never from the realized draws, which is what makes
 the gates independent of the input by construction), and the rectifier
 clips at zero.  Used as a test oracle only, never for inference.
 
-The draws are held unit-major: a C-contiguous (n, samples) array, so every
-per-unit broadcast and the mean over the draws run along one contiguous
-row per unit.  The stream order is that of a (samples, n) layout: draw k of
-unit j is entry (k, j) of `rng.standard_normal((samples, n))`, and a
-dropout or gate mask reads entry (k, j) of `rng.random((samples, n))`.  The
-same seed gives the same sample as a sample-major oracle.  Both streams are
-drawn in blocks of `_BLOCK` samples into one small (block, n) buffer and
-written through its transpose into the unit-major array; consecutive
-blocks are the same stream as one call.
+Stream order.  Draw k of unit j is entry (k, j) of
+`rng.standard_normal((samples, n))`, and a dropout or gate mask, drawn
+after all the normals, reads entry (k, j) of `rng.random((samples, n))`.
+Every random number comes from one block iterator, `_blocks`, which yields
+these streams in turn as (block, n) arrays of `_BLOCK` samples.
+Consecutive blocks are the same stream as one call, so a seed gives the
+same sample in any blocking or draw layout.
 
-Each call works in place on the one draw matrix it owns: `_draws` returns
-fresh memory, and `_sample_layer` and `_empirical` consume their draws.
-Each in-place step is the IEEE operation of the out-of-place form.
+Helper thread.  While the caller consumes block k, `_blocks` draws block
+k+1 on a helper thread, with block k+2 queued behind it, each into its own
+buffer: numpy's generator fills run without the GIL.  The helper belongs
+to one call.  The call opens a one-thread executor in a `with` block;
+while its stream is open, only the helper touches the generator, and the
+`with` joins the helper before the call returns or raises.  No thread
+outlives a call.  A process that may run on one CPU draws inline instead
+(`_helper`).
+
+Streamed estimates.  Draws are unit-major, (n, block), so every per-unit
+broadcast runs along a contiguous row.  `mc_layer_moments` and
+`mc_expected_ll` sum each block as it arrives, about the first output
+draw, and form the estimates from the sums (`_Sums`; for the objective,
+the sum and the sum of squares).  A dense or rectifier call holds only
+blocks.  A dropout or gate call keeps its (n, samples) input draws,
+because its mask uniforms follow all the normals; it masks them in place
+and sums them block by block as the uniforms arrive.  `sample_input` and
+`mc_network_moments` build the whole draw matrix (a network draws each
+gating layer's masks after the layer below it has run) and sum it with the
+same running sums.
+
+Shared normals.  `draw_normals(samples, n, seed)` draws a seed's normals
+once and keeps the generator state after them.  `mc_layer_moments` takes
+that `Normals` object in place of the seed and gives the bits of the seed,
+so calls with one seed can share one draw.
 """
 
 from __future__ import annotations
 
+import collections
+import contextlib
+import itertools
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,9 +77,19 @@ class McEstimate:
             raise ValueError("need at least 2 samples")
 
 
-# Samples per block of the random streams.  The one (block, n) buffer stays
-# in cache, and no call allocates a (samples, n) array: at 10⁵ × 4 draws
-# that array's fresh pages cost about 1500 page faults (~6 ms) per call.
+@dataclass(frozen=True)
+class Normals:
+    """A seed's standard normals, (samples, n) in stream order, and the
+    state of its generator after them (see `draw_normals`)."""
+
+    z: np.ndarray
+    state: dict
+
+
+# Samples per block of the random streams.  The (block, n) buffers stay in
+# cache, and a dense or rectifier call allocates no (samples, n) array: at
+# 10⁵ × 4 draws that array's fresh pages cost about 1500 page faults
+# (~6 ms) per call.
 _BLOCK = 8192
 
 
@@ -63,16 +98,86 @@ def _check_samples(samples: int):
         raise ValueError(f"samples must be >= 1000, got {samples}")
 
 
-def _draws(mv: MomentVector, samples: int, rng) -> np.ndarray:
-    """(n, samples) Gaussian draws with the MomentVector's moments, in the
-    stream order of one (samples, n) standard-normal call.
+@contextlib.contextmanager
+def _helper():
+    """The executor that draws one call's blocks: a one-thread pool, joined
+    on exit, or None in a process that may run on one CPU only, where a
+    helper could hide no draw and each handoff would cost a thread
+    switch."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    if cpus > 1:
+        with ThreadPoolExecutor(1) as pool:
+            yield pool
+    else:
+        yield None
+
+
+def _blocks(pool, fills, samples: int, n: int):
+    """(block, n) arrays of `samples` rows from each fill in turn (a bound
+    `standard_normal` or `random` of one generator), in stream order.  A
+    yielded block stays valid until the next one is requested.
+
+    With a `pool`, the first two blocks are submitted to it now, and each
+    later one when the caller takes the block two before it, so the helper
+    always has the next block queued.  Without one, each block is drawn
+    when requested, into one buffer."""
+    jobs = [(fill, k) for fill in fills for k in range(0, samples, _BLOCK)]
+    if pool is None:
+        buf = np.empty((min(samples, _BLOCK), n))
+        return (fill(out=buf[:samples - k]) for fill, k in jobs)
+    bufs = np.empty((3, min(samples, _BLOCK), n))
+
+    def draw(i):
+        fill, k = jobs[i]
+        return fill(out=bufs[i % 3, :samples - k])
+
+    def blocks(pending):
+        for i in range(len(jobs)):
+            block = pending.popleft().result()
+            if i + 2 < len(jobs):
+                pending.append(pool.submit(draw, i + 2))
+            yield block
+
+    return blocks(collections.deque(pool.submit(draw, i) for i in range(min(2, len(jobs)))))
+
+
+def _stream(pool, seed, samples: int, n: int, masked: bool):
+    """The blocks of one call: the normals, then with `masked` the mask
+    uniforms.  `seed` is a seed or the `Normals` it draws."""
+    if isinstance(seed, Normals):
+        if seed.z.shape != (samples, n):
+            raise ValueError(f"normals of shape {seed.z.shape}, need {(samples, n)}")
+        rng = np.random.default_rng()  # its fresh state is replaced at once
+        rng.bit_generator.state = seed.state
+        given = (seed.z[k:k + _BLOCK] for k in range(0, samples, _BLOCK))
+        return itertools.chain(given, _blocks(pool, [rng.random] if masked else [], samples, n))
+    rng = np.random.default_rng(seed)
+    fills = [rng.standard_normal, rng.random] if masked else [rng.standard_normal]
+    return _blocks(pool, fills, samples, n)
+
+
+def draw_normals(samples: int, n: int, seed) -> Normals:
+    """The standard normals that `mc_layer_moments` draws first for `seed`
+    at `samples` × `n`, drawn once so that calls with one seed can share
+    them; they are read-only."""
+    _check_samples(samples)
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((samples, n))
+    z.flags.writeable = False
+    return Normals(z, rng.bit_generator.state)
+
+
+def _affine(mv: MomentVector):
+    """The map from (block, n) standard normals to unit-major (n, block)
+    Gaussian draws with the MomentVector's moments, written into `out`.
 
     Full covariances are factorized by eigendecomposition.  Eigenvalues
     down to -1e-10 × max(1, largest eigenvalue) are roundoff and clamp to
     zero; anything lower is a hard error.
     """
-    _check_samples(samples)
-    n = mv.dim
     if mv.mode == FULL:
         evals, evecs = np.linalg.eigh(np.asarray(mv.cov))
         if np.any(evals < VAR_CLAMP * max(1.0, evals.max())):
@@ -81,76 +186,120 @@ def _draws(mv: MomentVector, samples: int, rng) -> np.ndarray:
     else:
         sd = np.sqrt(np.asarray(mv.cov))[:, None]
     mean = mv.mean[:, None]
-    draws = np.empty((n, samples))
-    z = np.empty((min(samples, _BLOCK), n))
-    for k in range(0, samples, _BLOCK):
-        zt = rng.standard_normal(out=z[:samples - k]).T
-        block = draws[:, k:k + _BLOCK]
+
+    def draws(z, out):
         if mv.mode == FULL:
-            np.matmul(factor, zt, out=block)
+            np.matmul(factor, z.T, out=out)
         else:
-            np.multiply(zt, sd, out=block)
-        block += mean
+            np.multiply(z.T, sd, out=out)
+        out += mean
+        return out
+
     return draws
 
 
 def sample_input(mv: MomentVector, samples: int, rng) -> np.ndarray:
-    """Draw (samples, n) Gaussians with the MomentVector's moments: a
-    transposed view of the oracle's unit-major draws (see `_draws`)."""
-    return _draws(mv, samples, rng).T
+    """Draw (samples, n) Gaussians with the MomentVector's moments, in the
+    stream order of one (samples, n) standard-normal call: a transposed
+    view of unit-major draws."""
+    _check_samples(samples)
+    affine = _affine(mv)
+    draws = np.empty((mv.dim, samples))
+    with _helper() as pool:
+        for k, z in zip(range(0, samples, _BLOCK),
+                        _blocks(pool, [rng.standard_normal], samples, mv.dim)):
+            affine(z, draws[:, k:k + _BLOCK])
+    return draws.T
 
 
-def _empirical(draws: np.ndarray) -> McEstimate:
-    s = draws.shape[1]
-    # Deviations from a draw are exactly 0 on zero-spread rows; deviations
-    # from the mean are not, because the mean of equal values can round.
-    shift = draws[:, 0].copy()
-    centered = np.subtract(draws, shift[:, None], out=draws)
-    offset = centered.mean(axis=1)
-    mean = shift + offset
-    centered -= offset[:, None]
-    gram = centered @ centered.T
-    cov = gram / (s - 1)
-    se_mean = np.sqrt(np.diagonal(cov) / s)
-    # Var[(c_i c_j)] / s via second moments of the centered products.
-    sq = np.multiply(centered, centered, out=centered)
-    second = sq @ sq.T / s
-    first = gram / s
-    var_prod = np.maximum(second - first * first, 0.0)
-    se_cov = np.sqrt(var_prod / s)
-    return McEstimate(mean, cov, se_mean, se_cov, s)
+class _Sums:
+    """Running sums of unit-major (n, block) draws x, taken about the first
+    draw x₀: the deviations c = x − x₀ summed, and the Gram of the stacked
+    [c; c∘c], one GEMM per block.  A unit whose draws all equal x₀ has
+    c = 0 exactly, so its estimates come out exact (see `McEstimate`)."""
+
+    def __init__(self, n: int, samples: int):
+        self.stack = np.empty((2 * n, min(samples, _BLOCK)))
+        self.twin = np.empty_like(self.stack)
+        self.gram = np.zeros((2 * n, 2 * n))
+        self.total = np.zeros(n)
+        self.samples = 0
+        self.shift = None
+
+    def add(self, x):
+        n, width = x.shape
+        if self.shift is None:
+            self.shift = x[:, :1].copy()
+        for k in range(0, width, _BLOCK):
+            block = x[:, k:k + _BLOCK]
+            stack = self.stack[:, :block.shape[1]]
+            c = np.subtract(block, self.shift, out=stack[:n])
+            np.multiply(c, c, out=stack[n:])
+            self.total += c.sum(axis=1)
+            # numpy runs `stack @ stack.T` as a SYRK, which OpenBLAS takes
+            # about twice as long over at 2n = 8 rows as the GEMM against a
+            # copy, copy included.
+            twin = self.twin[:, :block.shape[1]]
+            np.copyto(twin, stack)
+            self.gram += stack @ twin.T
+            self.samples += block.shape[1]
+
+    def estimate(self) -> McEstimate:
+        s, n = self.samples, len(self.total)
+        m = self.total / s  # the mean deviation from the first draw
+        g = 0.5 * (self.gram + self.gram.T)  # exactly symmetric whatever the GEMM
+        a, b, d = g[:n, :n], g[:n, n:], g[n:, n:]
+        mm = np.outer(m, m)
+        gram = a - s * mm  # Σ (c_i − m_i)(c_j − m_j)
+        cov = gram / (s - 1)
+        se_mean = np.sqrt(np.maximum(np.diagonal(cov), 0.0) / s)
+        # Var[(c_i c_j)] / s via second moments of the products about the
+        # mean: Σ (c_i − m_i)²(c_j − m_j)² from the raw sums, with
+        # b_ij = Σ c_i c_j² and q = Σ c².
+        q, m2 = np.diagonal(a), m * m
+        fourth = d - 2.0 * (b * m[:, None] + b.T * m)
+        fourth += np.outer(q, m2) + np.outer(m2, q)
+        fourth += 4.0 * mm * a - 3.0 * s * mm * mm
+        first = gram / s
+        var_prod = np.maximum(fourth / s - first * first, 0.0)
+        se_cov = np.sqrt(var_prod / s)
+        return McEstimate(self.shift[:, 0] + m, cov, se_mean, se_cov, s)
 
 
-def _keep_mask(rng, draws, keep):
-    """Mask of the unit-major `draws`: uniforms in the stream order of one
-    (samples, n) call, below the per-unit `keep`."""
-    n, samples = draws.shape
-    mask = np.empty(draws.shape, bool)
-    u = np.empty((min(samples, _BLOCK), n))
-    for k in range(0, samples, _BLOCK):
-        np.less(rng.random(out=u[:samples - k]).T, keep, out=mask[:, k:k + _BLOCK])
-    return mask
-
-
-def _sample_layer(layer: LayerSpec, draws, rng, mean, cov, wb):
-    """One layer applied to the unit-major (n, samples) `draws`.  `mean` and
-    `cov`, the analytic moments of the layer's input as a batch of one, give
-    the gated activation's rates; `wb` is a dense layer's (weights, bias)."""
+def _sample_layer(layer: LayerSpec, mean, cov, wb):
+    """One layer's map of unit-major (n, width) draws, and whether it reads
+    mask uniforms.  The map takes the draws and, for a dropout or gate
+    layer, a (width, n) block of uniforms, and works in place where the
+    shapes allow.  `mean` and `cov`, the analytic moments of the layer's
+    input as a batch of one, give the gated activation's rates; `wb` is a
+    dense layer's (weights, bias)."""
     if layer.kind == DENSE:
         w, b = wb
-        out = w @ draws
-        out += b[:, None]
-        return out
-    if layer.kind == DROPOUT:
-        keep = _keep_mask(rng, draws, 1.0 - layer.rate)
-        return np.multiply(draws, keep, out=draws)
-    if layer.kind == MP_GELU:
-        rates, _, _, _ = _gate_rates(mean, cov, "mc oracle")
-        keep = _keep_mask(rng, draws, (1.0 - rates[0])[:, None])
-        return np.multiply(draws, keep, out=draws)
+
+        def dense(x, u):
+            out = w @ x
+            out += b[:, None]
+            return out
+
+        return dense, False
     if layer.kind == RELU:
-        return np.maximum(draws, 0.0, out=draws)
-    raise ValueError(f"unknown layer kind {layer.kind!r}")
+        return lambda x, u: np.maximum(x, 0.0, out=x), False
+    if layer.kind == DROPOUT:
+        keep = 1.0 - layer.rate
+    elif layer.kind == MP_GELU:
+        rates, _, _, _ = _gate_rates(mean, cov, "mc oracle")
+        keep = (1.0 - rates[0])[:, None]
+    else:
+        raise ValueError(f"unknown layer kind {layer.kind!r}")
+    # A C-ordered mask: one from `u.T` alone would be F-ordered, and
+    # multiplying the C-ordered draws by it would read it across its rows.
+    mask = np.empty((mean.shape[1], _BLOCK), bool)
+
+    def masked(x, u):
+        keeps = np.less(u.T, keep, out=mask[:, :x.shape[1]])
+        return np.multiply(x, keeps, out=x)
+
+    return masked, True
 
 
 def mc_layer_moments(
@@ -161,38 +310,68 @@ def mc_layer_moments(
     weights=None,
     bias=None,
 ) -> McEstimate:
-    """Empirical output moments of one layer applied to Gaussian draws."""
-    rng = np.random.default_rng(seed)
-    draws = _draws(mv, samples, rng)
+    """Empirical output moments of one layer applied to Gaussian draws.
+    `seed` is a seed or the `Normals` that `draw_normals` gives for it."""
+    _check_samples(samples)
     wb = None
     if layer.kind == DENSE:
         if weights is None or bias is None:
             raise ValueError("dense layer needs weights and bias")
         wb = (np.asarray(weights), np.asarray(bias))
-    return _empirical(_sample_layer(layer, draws, rng, mv.mean[None], mv.variances[None], wb))
+    apply, masked = _sample_layer(layer, mv.mean[None], mv.variances[None], wb)
+    affine = _affine(mv)
+    n = mv.dim
+    sums = _Sums(n if wb is None else len(wb[1]), samples)
+    with _helper() as pool:
+        blocks = _stream(pool, seed, samples, n, masked)
+        if masked:
+            # The uniforms follow all the normals: keep the input draws.
+            draws = np.empty((n, samples))
+            starts = range(0, samples, _BLOCK)
+            for k, z in zip(starts, blocks):
+                affine(z, draws[:, k:k + _BLOCK])
+            for k, u in zip(starts, blocks):
+                sums.add(apply(draws[:, k:k + _BLOCK], u))
+        else:
+            buf = np.empty((n, min(samples, _BLOCK)))
+            for z in blocks:
+                sums.add(apply(affine(z, buf[:, :len(z)]), None))
+    return sums.estimate()
 
 
 def mc_expected_ll(head_mv: MomentVector, y: float, samples: int, seed):
     """MC estimate (value, standard error) of E[log N(y | h1, e^{h2})].
 
-    Both are computed from the deviations of the draws' log-likelihoods
-    from the first one, so zero-spread draws (a zero head covariance) give
-    the exact value and a standard error of exactly 0.
+    Both are computed from running sums of the draws' log-likelihoods'
+    deviations from the first one and of their squares, so zero-spread
+    draws (a zero head covariance) give the exact value and a standard
+    error of exactly 0.
     """
     if head_mv.dim != 2:
         raise MomentError("mc_expected_ll expects a 2-output head")
-    rng = np.random.default_rng(seed)
-    h1, h2 = _draws(head_mv, samples, rng)
-    vals = np.subtract(y, h1)
-    np.square(vals, out=vals)
-    scale = np.negative(h2)
-    vals *= np.exp(scale, out=scale)
-    vals += np.add(h2, np.log(2.0 * np.pi), out=scale)
-    vals *= -0.5
-    first = vals[0]
-    vals -= first  # the deviations from the first draw
-    est = float(first + vals.mean())
-    se = float(vals.std(ddof=1) / np.sqrt(samples))
+    _check_samples(samples)
+    affine = _affine(head_mv)
+    buf = np.empty((4, min(samples, _BLOCK)))
+    first, total, squares = None, 0.0, 0.0
+    with _helper() as pool:
+        for z in _stream(pool, seed, samples, 2, False):
+            width = len(z)
+            h1, h2 = affine(z, buf[:2, :width])
+            vals, scale = buf[2, :width], buf[3, :width]
+            np.subtract(y, h1, out=vals)
+            np.square(vals, out=vals)
+            np.negative(h2, out=scale)
+            vals *= np.exp(scale, out=scale)
+            vals += np.add(h2, np.log(2.0 * np.pi), out=scale)
+            vals *= -0.5
+            if first is None:
+                first = vals[0]
+            vals -= first  # the deviations from the first draw
+            total += vals.sum()
+            squares += vals @ vals
+    est = float(first + total / samples)
+    var = max(squares - total * total / samples, 0.0) / (samples - 1)
+    se = float(np.sqrt(var / samples))
     return est, se
 
 
@@ -211,11 +390,20 @@ def mc_network_moments(config, params, x, samples: int, seed) -> McEstimate:
     mean = x[None].copy()
     cov = np.zeros_like(mean)  # per-unit variances, as in `forward_batch`
     dense_i = 0
-    for layer in config.layers:
-        wb = None
-        if layer.kind == DENSE:
-            wb = (params.weights[dense_i], params.biases[dense_i])
-            dense_i += 1
-        draws = _sample_layer(layer, draws, rng, mean, cov, wb)
-        mean, cov, _ = _FWD[layer.kind](layer, mean, cov, wb, mode)
-    return _empirical(draws)
+    with _helper() as pool:
+        for layer in config.layers:
+            wb = None
+            if layer.kind == DENSE:
+                wb = (params.weights[dense_i], params.biases[dense_i])
+                dense_i += 1
+            apply, masked = _sample_layer(layer, mean, cov, wb)
+            if masked:
+                uniforms = _blocks(pool, [rng.random], samples, len(draws))
+                for k, u in zip(range(0, samples, _BLOCK), uniforms):
+                    apply(draws[:, k:k + _BLOCK], u)
+            else:
+                draws = apply(draws, None)
+            mean, cov, _ = _FWD[layer.kind](layer, mean, cov, wb, mode)
+    sums = _Sums(len(draws), samples)
+    sums.add(draws)
+    return sums.estimate()

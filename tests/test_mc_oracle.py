@@ -1,18 +1,22 @@
 """The MC oracle itself: semantics, standard-error behavior, degeneracies."""
 
+import functools
 import json
 import os
 import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from mpbnn import cli
+from mpbnn import cli, mc_oracle
 from mpbnn import moments as m
 from mpbnn import network as net
-from mpbnn.mc_oracle import mc_expected_ll, mc_layer_moments, mc_network_moments, sample_input
+from mpbnn.mc_oracle import (
+    draw_normals, mc_expected_ll, mc_layer_moments, mc_network_moments, sample_input,
+)
 from mpbnn.network import LayerSpec, DENSE, MP_GELU, RELU
 
 
@@ -247,6 +251,131 @@ class TestInPlace:
             tracemalloc.stop()
         # The draws, two (samples,) buffers and the temporary of `std`.
         assert peak <= 2.6 * samples * 2 * 8
+
+
+def _all_estimates(samples=3 * mc_oracle._BLOCK + 100):
+    """Every oracle entry point on one case each, as a list of arrays: each
+    layer kind x mode (a partial last block included), the objective and a
+    whole network."""
+    out = []
+    for mode in (m.FULL, m.DIAG):
+        for kind in cli.LAYER_KINDS:
+            layer, mv, kw = _layer_case(kind, mode, (7, cli.LAYER_KINDS.index(kind)), 3)
+            est = mc_layer_moments(layer, mv, samples, 3, **kw)
+            out += [est.mean, est.cov, est.standard_error_mean, est.standard_error_cov]
+    head = m.MomentVector(np.array([0.3, -0.2]), np.array([[0.5, 0.1], [0.1, 0.3]]), m.FULL)
+    out.append(np.array(mc_expected_ll(head, 0.4, samples, 5)))
+    config = net.build_model(net.ARCH_RELU, 2, 3, 0.1, m.FULL, net.HEAD_HETEROSCEDASTIC)
+    est = mc_network_moments(config, net.init_parameters(config, 0), np.array([0.5, -1.0]),
+                             samples, 9)
+    out += [est.mean, est.cov, est.standard_error_mean, est.standard_error_cov]
+    out.append(sample_input(m.MomentVector(np.zeros(2), np.ones(2), m.DIAG), samples,
+                            np.random.default_rng(4)))
+    return out
+
+
+class TestBlockIterator:
+    """The helper thread changes when a block is drawn, never what it holds,
+    and no thread outlives a call."""
+
+    @staticmethod
+    def inline_blocks(pool, fills, samples, n):
+        """The reference: every block drawn in the caller, into one buffer."""
+        buf = np.empty((min(samples, mc_oracle._BLOCK), n))
+        for fill in fills:
+            for k in range(0, samples, mc_oracle._BLOCK):
+                yield fill(out=buf[:samples - k])
+
+    @pytest.mark.parametrize("inline", ["blocks", "one cpu"])
+    def test_estimates_bit_identical_when_drawn_inline(self, monkeypatch, inline):
+        # Threads switched as often as the interpreter allows, so that a
+        # block read while the helper writes it would show.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _all_estimates()
+        finally:
+            sys.setswitchinterval(interval)
+        if inline == "blocks":
+            monkeypatch.setattr(mc_oracle, "_blocks", self.inline_blocks)
+        else:  # a one-CPU process draws in the caller
+            monkeypatch.setattr(mc_oracle.os, "sched_getaffinity", lambda pid: {0})
+            with mc_oracle._helper() as pool:
+                assert pool is None
+        for got, want in zip(_all_estimates(), threaded, strict=True):
+            np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    @pytest.mark.parametrize("kind", cli.LAYER_KINDS)
+    def test_shared_normals_give_the_bits_of_the_seed(self, kind, mode):
+        samples = 2 * mc_oracle._BLOCK + 7
+        layer, mv, kw = _layer_case(kind, mode, (8, cli.LAYER_KINDS.index(kind)), 3)
+        normals = draw_normals(samples, mv.dim, 12)
+        for _ in range(2):  # a call leaves the shared draw as it was
+            got = mc_layer_moments(layer, mv, samples, normals, **kw)
+            want = mc_layer_moments(layer, mv, samples, 12, **kw)
+            for f in ("mean", "cov", "standard_error_mean", "standard_error_cov"):
+                np.testing.assert_array_equal(getattr(got, f), getattr(want, f))
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    @pytest.mark.parametrize("kind", [DENSE, RELU])
+    def test_dense_and_rectifier_calls_hold_only_blocks(self, kind, mode):
+        samples, n = 10**6, 4
+        layer, mv, kw = _layer_case(kind, mode, 0, n)
+        mc_layer_moments(layer, mv, 1000, 0, **kw)  # any lazy set-up first
+        tracemalloc.start()
+        try:
+            mc_layer_moments(layer, mv, samples, 1, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # A few (block, n) buffers, about 2 MB, against 32 MB of draws.
+        assert peak <= 0.1 * samples * n * 8
+
+    def test_shared_normals_of_another_shape_rejected(self):
+        layer, mv, kw = _layer_case(RELU, m.DIAG, 0, 3)
+        with pytest.raises(ValueError, match="normals of shape"):
+            mc_layer_moments(layer, mv, 2000, draw_normals(2000, 4, 0), **kw)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        before = threading.active_count()
+        _all_estimates()
+        assert threading.active_count() == before
+        cov = np.array([[1.0, 2.0], [2.0, 1.0]])  # eigenvalues 3, -1
+        with pytest.raises(m.MomentError):
+            mc_layer_moments(LayerSpec(RELU), m.MomentVector(np.zeros(2), cov, m.FULL), 10**4, 0)
+        assert threading.active_count() == before
+
+        real = np.random.default_rng
+
+        class Poisoned:
+            """A generator whose third block fails, on whichever thread draws it."""
+
+            def __init__(self, seed):
+                self.rng, self.fills = real(seed), 0
+
+            def fill(self, name, out):
+                self.fills += 1
+                if self.fills == 3:
+                    raise RuntimeError("poisoned block")
+                return getattr(self.rng, name)(out=out)
+
+            def standard_normal(self, out):
+                return self.fill("standard_normal", out)
+
+            def random(self, out):
+                return self.fill("random", out)
+
+        head = m.MomentVector(np.zeros(2), np.ones(2), m.DIAG)
+        calls = [functools.partial(mc_expected_ll, head, 0.0, 10**5, 0)]
+        for kind in cli.LAYER_KINDS:
+            layer, mv, kw = _layer_case(kind, m.DIAG, 0, 3)
+            calls.append(functools.partial(mc_layer_moments, layer, mv, 10**5, 0, **kw))
+        monkeypatch.setattr(np.random, "default_rng", Poisoned)
+        for call in calls:
+            with pytest.raises(RuntimeError, match="poisoned block"):
+                call()
+            assert threading.active_count() == before
 
 
 def test_estimates_do_not_depend_on_blas_threads():

@@ -289,6 +289,37 @@ class TestResume:
                     x, y = rng.standard_normal((batch, 4)), rng.standard_normal(batch)
                     self.check_fd_check(monkeypatch, config, params, x, y)
 
+    def test_fd_check_within_bound_at_width_20(self, monkeypatch):
+        """Criterion 2's eight models (`gradient_fd(42, 6, 20, 0.1, 6)`:
+        width 20, B = 6), with every coordinate a violation so that each
+        central difference is in the result.  `fd_check` gives the
+        coordinates of one whole pass per probe, and each difference within
+        1e-9 absolute of it.  A dense product's rounding of a row can depend
+        on the rows beside it at this width, so a few differences are not
+        bit for bit: the worst seen was 3.6e-10, in 5 of 4732 coordinates.
+        One ulp of a unit loss is 1.1e-11 after division by 2 FD_STEP."""
+        compared = []
+        fd_check = cli.fd_check
+
+        def ones(config, params, x, y):
+            return 0.0, tr.GradientSet([np.ones_like(w) for w in params.weights],
+                                       [np.ones_like(b) for b in params.biases])
+
+        def comparing(config, params, x, y):
+            want = self.whole_pass_fd_check(config, params, x, y)
+            got = fd_check(config, params, x, y)
+            compared.append(config)
+            assert got[0] == want[0] == len(got[2]) == len(want[2])
+            for g, w in zip(got[2], want[2], strict=True):
+                assert g[:4] == w[:4]
+                assert abs(g[4] - w[4]) <= 1e-9, (g, w)
+            return got
+
+        monkeypatch.setattr(tr, "loss_and_gradients", ones)
+        monkeypatch.setattr(cli, "fd_check", comparing)
+        list(cli.gradient_fd(42, 6, 20, 0.1, 6))
+        assert len(compared) == 8
+
     def test_gradient_sweep_call_counts(self, monkeypatch):
         """`mpbnn check`'s sweep on seed 0, 8 models at B=3.  Per model:
         one `loss_and_gradients` call, with its own objective call, and one
