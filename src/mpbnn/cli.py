@@ -358,81 +358,72 @@ LAYER_KINDS = tuple(network._FWD)
 ORACLE_UNITS = 4
 
 
-def layer_oracle(kind: str, mode: str, cases: int, samples: int, rng, mc_seed):
-    """One layer kind's closed form against the MC oracle on `cases` random
-    4-unit inputs from `rng` (a dense layer's 3×4 weights and bias are drawn
-    after each), case c sampled with seed `mc_seed(c)`.  Every mean, variance
-    and full-mode covariance must lie within 4 se; a full-mode rectifier
-    off-diagonal may instead lie within 0.15 σ_i σ_j (its first-order
-    approximation) and is left out of the worst deviation.  Returns (worst
-    deviation in se, failures as (case, entry, deviation))."""
-    worst = 0.0
-    failures = []
-    for case in range(cases):
-        case_worst, case_failures = _oracle_case(kind, mode, case, samples, rng, mc_seed(case))
-        worst = max(worst, case_worst)
-        failures += case_failures
-    return worst, failures
-
-
-def _oracle_case(kind, mode, case, samples, rng, seed):
-    """Case `case` of `layer_oracle`, sampled with `seed` (a seed or the
-    `mc_oracle.Normals` it draws)."""
+def layer_oracle(cases: int, samples: int, seed: int, mc_seed):
+    """Every layer kind × mode's closed form against the MC oracle on `cases`
+    random 4-unit inputs.  Kind k in `mode` draws its inputs from the rng of
+    `SeedSequence((seed, int(mode == FULL), k))` (a dense layer's 3×4
+    weights and bias after each input), and its case c is sampled with seed
+    `mc_seed(k, c)`.  The cases run outer, so the calls of a case that share
+    a seed share one draw of its normals (`mc_oracle.draw_normals`).  Every
+    mean, variance and full-mode covariance must lie within 4 se; a
+    full-mode rectifier off-diagonal may instead lie within 0.15 σ_i σ_j (its
+    first-order approximation) and is left out of the worst deviation.
+    Returns {(kind, mode): (worst deviation in se, failures as (case, entry,
+    deviation))}, full mode first and kinds in `LAYER_KINDS` order."""
     n = ORACLE_UNITS
-    layer = LayerSpec(kind, in_dim=n, out_dim=3, rate=0.13)
-    mv = _random_case(n, mode, rng)
-    wb = None
-    if kind == network.DENSE:
-        wb = (rng.standard_normal((3, n)), rng.standard_normal(3))
-    out_mean, out_cov, _ = network._FWD[kind](layer, *moments._as_batch(mv), wb, mode)
-    out = moments._from_batch(out_mean, out_cov, mode)
-    kw = {} if wb is None else {"weights": wb[0], "bias": wb[1]}
-    est = mc_oracle.mc_layer_moments(layer, mv, samples, seed, **kw)
-    worst = 0.0
-    failures = []
-    devs = [("mean", np.abs(out.mean - est.mean)
-             / np.maximum(est.standard_error_mean, 1e-12))]
-    if mode == FULL:
-        ac = np.asarray(out.cov)
-        dev_c = np.abs(ac - est.cov) / np.maximum(est.standard_error_cov, 1e-12)
-        eye = np.eye(out.dim, dtype=bool)
-        if kind == network.RELU:
-            sd = np.sqrt(out.variances)
-            within_scale = np.abs(ac - est.cov) <= 0.15 * np.outer(sd, sd)
-            bad = ~((dev_c <= 4.0) | within_scale) & ~eye
-            if bad.any():
-                failures.append((case, "offdiag", float(dev_c[bad].max())))
-            devs.append(("var", dev_c[eye]))
-        else:
-            devs.append(("cov", dev_c))
-    else:
-        devs.append(("var", np.abs(out.variances - np.diag(est.cov))
-                     / np.maximum(np.diagonal(est.standard_error_cov), 1e-12)))
-    for entry, dev in devs:
-        worst = max(worst, float(dev.max()))
-        if dev.max() > 4.0:
-            failures.append((case, entry, float(dev.max())))
-    return worst, failures
+    runs = [(k, kind, mode, np.random.default_rng((seed, int(mode == FULL), k)))
+            for mode in (FULL, DIAG) for k, kind in enumerate(LAYER_KINDS)]
+    results = {(kind, mode): (0.0, []) for _, kind, mode, _ in runs}
+    for case in range(cases):
+        normals = {}
+        for k, kind, mode, rng in runs:
+            case_seed = mc_seed(k, case)
+            if case_seed not in normals:
+                normals[case_seed] = mc_oracle.draw_normals(samples, n, case_seed)
+            layer = LayerSpec(kind, in_dim=n, out_dim=3, rate=0.13)
+            mv = _random_case(n, mode, rng)
+            wb = None
+            if kind == network.DENSE:
+                wb = (rng.standard_normal((3, n)), rng.standard_normal(3))
+            out_mean, out_cov, _ = network._FWD[kind](layer, *moments._as_batch(mv), wb, mode)
+            out = moments._from_batch(out_mean, out_cov, mode)
+            kw = {} if wb is None else {"weights": wb[0], "bias": wb[1]}
+            est = mc_oracle.mc_layer_moments(layer, mv, samples, normals[case_seed], **kw)
+            worst, failures = results[kind, mode]
+            devs = [("mean", np.abs(out.mean - est.mean)
+                     / np.maximum(est.standard_error_mean, 1e-12))]
+            if mode == FULL:
+                ac = np.asarray(out.cov)
+                dev_c = np.abs(ac - est.cov) / np.maximum(est.standard_error_cov, 1e-12)
+                eye = np.eye(out.dim, dtype=bool)
+                if kind == network.RELU:
+                    sd = np.sqrt(out.variances)
+                    within_scale = np.abs(ac - est.cov) <= 0.15 * np.outer(sd, sd)
+                    bad = ~((dev_c <= 4.0) | within_scale) & ~eye
+                    if bad.any():
+                        failures.append((case, "offdiag", float(dev_c[bad].max())))
+                    devs.append(("var", dev_c[eye]))
+                else:
+                    devs.append(("cov", dev_c))
+            else:
+                devs.append(("var", np.abs(out.variances - np.diag(est.cov))
+                             / np.maximum(np.diagonal(est.standard_error_cov), 1e-12)))
+            for entry, dev in devs:
+                worst = max(worst, float(dev.max()))
+                if dev.max() > 4.0:
+                    failures.append((case, entry, float(dev.max())))
+            results[kind, mode] = (worst, failures)
+    return results
 
 
 def _check_layer_oracle(samples: int, cases: int, seed: int):
     """Compare every layer op against the MC oracle; yields (name, ok, detail).
 
     Case c of every kind × mode is sampled with seed `derived_seed(seed, c)`,
-    so the cases run outer and the kinds inner, and the 8 calls of a case
-    share one draw of that seed's normals."""
-    runs = [(mode, kind, np.random.default_rng(np.random.SeedSequence((seed, int(mode == FULL), k))))
-            for mode in (FULL, DIAG) for k, kind in enumerate(LAYER_KINDS)]
-    worst = [0.0] * len(runs)
-    passed = [True] * len(runs)
-    for case in range(cases):
-        normals = mc_oracle.draw_normals(samples, ORACLE_UNITS, data.derived_seed(seed, case))
-        for i, (mode, kind, rng) in enumerate(runs):
-            case_worst, failures = _oracle_case(kind, mode, case, samples, rng, normals)
-            worst[i] = max(worst[i], case_worst)
-            passed[i] = passed[i] and not failures
-    for (mode, kind, _), run_worst, ok in zip(runs, worst, passed):
-        yield f"moment_oracle {kind} {mode}", ok, f"worst dev {run_worst:.3f} se"
+    so the 8 calls of a case share one draw of that seed's normals."""
+    results = layer_oracle(cases, samples, seed, lambda k, case: data.derived_seed(seed, case))
+    for (kind, mode), (worst, failures) in results.items():
+        yield f"moment_oracle {kind} {mode}", not failures, f"worst dev {worst:.3f} se"
 
 
 def objective_oracle(cases: int, samples: int, rng, mc_seed, var_cap=None):

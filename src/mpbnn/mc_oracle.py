@@ -27,8 +27,8 @@ outlives a call.  A process that may run on one CPU draws inline instead
 Streamed estimates.  Draws are unit-major, (n, block), so every per-unit
 broadcast runs along a contiguous row.  `mc_layer_moments` and
 `mc_expected_ll` sum each block as it arrives, about the first output
-draw, and form the estimates from the sums (`_Sums`; for the objective,
-the sum and the sum of squares).  A dense or rectifier call holds only
+draw, in one running-sum estimator, `_Sums` (the objective's
+log-likelihoods are its one row).  A dense or rectifier call holds only
 blocks.  A dropout or gate call keeps its (n, samples) input draws,
 because its mask uniforms follow all the normals; it masks them in place
 and sums them block by block as the uniforms arrive.  `sample_input` and
@@ -39,7 +39,8 @@ same running sums.
 Shared normals.  `draw_normals(samples, n, seed)` draws a seed's normals
 once and keeps the generator state after them.  `mc_layer_moments` takes
 that `Normals` object in place of the seed and gives the bits of the seed,
-so calls with one seed can share one draw.
+so calls with one seed can share one draw.  `cli.layer_oracle` does so:
+the calls of one case that share a seed share its normals.
 """
 
 from __future__ import annotations
@@ -342,17 +343,16 @@ def mc_layer_moments(
 def mc_expected_ll(head_mv: MomentVector, y: float, samples: int, seed):
     """MC estimate (value, standard error) of E[log N(y | h1, e^{h2})].
 
-    Both are computed from running sums of the draws' log-likelihoods'
-    deviations from the first one and of their squares, so zero-spread
-    draws (a zero head covariance) give the exact value and a standard
-    error of exactly 0.
+    The draws' log-likelihoods are summed per block as one row of `_Sums`,
+    so zero-spread draws (a zero head covariance) give the exact value and
+    a standard error of exactly 0.
     """
     if head_mv.dim != 2:
         raise MomentError("mc_expected_ll expects a 2-output head")
     _check_samples(samples)
     affine = _affine(head_mv)
     buf = np.empty((4, min(samples, _BLOCK)))
-    first, total, squares = None, 0.0, 0.0
+    sums = _Sums(1, samples)
     with _helper() as pool:
         for z in _stream(pool, seed, samples, 2, False):
             width = len(z)
@@ -364,15 +364,9 @@ def mc_expected_ll(head_mv: MomentVector, y: float, samples: int, seed):
             vals *= np.exp(scale, out=scale)
             vals += np.add(h2, np.log(2.0 * np.pi), out=scale)
             vals *= -0.5
-            if first is None:
-                first = vals[0]
-            vals -= first  # the deviations from the first draw
-            total += vals.sum()
-            squares += vals @ vals
-    est = float(first + total / samples)
-    var = max(squares - total * total / samples, 0.0) / (samples - 1)
-    se = float(np.sqrt(var / samples))
-    return est, se
+            sums.add(vals[None])
+    est = sums.estimate()
+    return float(est.mean[0]), float(est.standard_error_mean[0])
 
 
 def mc_network_moments(config, params, x, samples: int, seed) -> McEstimate:

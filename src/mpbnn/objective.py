@@ -54,11 +54,11 @@ def _head_parts(mean, cov, mode):
     return mean[:, 0], mean[:, 1], cov[:, 0], 0.0, cov[:, 1]
 
 
-def _bad_row(ell, mean, cov, mode) -> str:
+def _bad_row(ell, mean, cov) -> str:
     """Where a non-finite log-likelihood first appears: its row and that
     row's head moments.  Built only when the kernel is about to raise."""
     row = int(np.flatnonzero(~np.isfinite(ell))[0])
-    var = moments._diag(cov)[row] if mode == FULL else cov[row]
+    var = moments._variances(cov)[row]
     parts = [f"m{k + 1}={float(mean[row, k])!r}" for k in range(mean.shape[1])]
     parts += [f"s{k + 1}{k + 1}={float(var[k])!r}" for k in range(mean.shape[1])]
     return f" at row {row} ({', '.join(parts)})"
@@ -77,7 +77,7 @@ def _ell2_fwd(mean, cov, y, mode):
     ell = -0.5 * (LOG_2PI + m2 + quad * inv_scale)
     if not np.isfinite(ell).all():
         raise FloatingPointError(
-            "non-finite expected log-likelihood" + _bad_row(ell, mean, cov, mode)
+            "non-finite expected log-likelihood" + _bad_row(ell, mean, cov)
         )
     return ell, (resid, inv_scale, quad, mode, mean.shape)
 
@@ -104,13 +104,13 @@ def _ell2_bwd(ctx, g_ell):
 
 def _ell1_fwd(mean, cov, y, mode):
     m1 = mean[:, 0]
-    s11 = cov[0, 0] if mode == FULL else cov[:, 0]
+    s11 = moments._variances(cov)[:, 0]
     var = s11 + VARIANCE_FLOOR
     resid = y - m1
     ell = -0.5 * (LOG_2PI + np.log(var) + resid * resid / var)
     if not np.isfinite(ell).all():
         raise FloatingPointError(
-            "non-finite expected log-likelihood (1-output)" + _bad_row(ell, mean, cov, mode)
+            "non-finite expected log-likelihood (1-output)" + _bad_row(ell, mean, cov)
         )
     return ell, (resid, var, mode, mean.shape)
 

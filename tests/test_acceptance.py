@@ -45,16 +45,12 @@ class TestCriterion1MomentOracle:
         4 se on every mean and covariance entry; full-mode rectifier
         off-diagonals additionally accept 15% of the entry scale sigma_i
         sigma_j (the documented first-order approximation)."""
-        failures = []
-        worst = 0.0
-        for mode in (m.FULL, m.DIAG):
-            for k, kind in enumerate(cli.LAYER_KINDS):
-                rng = np.random.default_rng(np.random.SeedSequence((99, int(mode == m.FULL), k)))
-                kind_worst, kind_failures = cli.layer_oracle(
-                    kind, mode, 100, 10**5, rng, lambda case: data.derived_seed(99, k, case)
-                )
-                worst = max(worst, kind_worst)
-                failures += [(mode, kind, *f) for f in kind_failures]
+        results = cli.layer_oracle(
+            100, 10**5, 99, lambda k, case: data.derived_seed(99, k, case)
+        )
+        worst = max(run_worst for run_worst, _ in results.values())
+        failures = [(mode, kind, *f)
+                    for (kind, mode), (_, run_failures) in results.items() for f in run_failures]
         ok = not failures
         report(1, "moment oracle", ok,
                f"800 cases, worst 4se-bound deviation {worst:.2f} se, "

@@ -378,6 +378,50 @@ class TestCheckCommand:
         list(cli._check_layer_oracle(10**4, 1, 0))
         assert set(recorded) == {10**4}
 
+    @pytest.mark.parametrize("seeds, draws_per_case", [
+        ("check", 1),  # `mpbnn check`: one seed per case
+        ("criterion 1", 4),  # one seed per kind and case, shared by both modes
+    ])
+    def test_layer_oracle_shares_normals_within_a_case(self, monkeypatch, seeds, draws_per_case):
+        """The calls of a case that share a seed share one draw of its
+        normals, with the results of unshared int-seeded calls."""
+        if seeds == "check":
+            mc_seed = lambda k, case: data.derived_seed(5, case)  # noqa: E731
+        else:
+            mc_seed = lambda k, case: data.derived_seed(99, k, case)  # noqa: E731
+        drawn = []
+        real = mc_oracle.draw_normals
+
+        def counting(samples, n, seed):
+            drawn.append(seed)
+            return real(samples, n, seed)
+
+        monkeypatch.setattr(mc_oracle, "draw_normals", counting)
+        shared = cli.layer_oracle(3, 2000, 5, mc_seed)
+        assert len(drawn) == 3 * draws_per_case
+        # Handing each call its int seed draws the normals once per call.
+        monkeypatch.setattr(mc_oracle, "draw_normals", lambda samples, n, seed: seed)
+        assert shared == cli.layer_oracle(3, 2000, 5, mc_seed)
+        assert list(shared) == [(kind, mode) for mode in (m.FULL, m.DIAG)
+                                for kind in cli.LAYER_KINDS]
+
+    def test_check_runs_the_shared_layer_oracle(self, monkeypatch, capsys):
+        """`mpbnn check` reaches `cli.layer_oracle`, the checker criterion 1
+        runs, with each case's seed derived from the check's seed alone."""
+        calls = []
+        real = cli.layer_oracle
+
+        def recording(cases, samples, seed, mc_seed):
+            calls.append((cases, samples, seed, [mc_seed(k, 1) for k in range(4)]))
+            return real(cases, samples, seed, mc_seed)
+
+        monkeypatch.setattr(cli, "layer_oracle", recording)
+        monkeypatch.setattr(cli, "_check_objective_oracle", lambda samples, cases, seed: [])
+        monkeypatch.setattr(cli, "_check_gradients", lambda seed: [])
+        assert cli.cmd_check("quick", 3) == 0
+        assert calls == [(3, 10**4, 3, [data.derived_seed(3, 1)] * 4)]
+        assert "8/8 checks passed" in capsys.readouterr().out
+
     def test_layer_oracle_lines_pinned(self):
         """Quick-level oracle lines of four seeds, with the known 4-se false
         alarms of seeds 9, 13 and 21 (see `run_self_checks`): a change to a
