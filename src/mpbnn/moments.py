@@ -45,11 +45,12 @@ thread, about the memory of the largest step that thread ran.
 
 Guard rule: the gate and the rectifier read their inputs through
 `_gate_input`, which decides both the clamp of the variances and whether
-any unit's σ is below `SIGMA_FLOOR` from one `min` (sqrt is monotone), and
-forms α = μ/σ with σ = 1 on such units.  In the common case there are none:
-the kernel runs its plain formulas and puts `det = None` in its context;
-otherwise `det` is their mask and the guarded formulas run.  Every adjoint
-accepts both, and gives the same bits on the other units either way.
+any unit's σ is below `SIGMA_FLOOR` from their one minimum, taken by
+`_least` (sqrt is monotone), and forms α = μ/σ with σ = 1 on such units.
+In the common case there are none: the kernel runs its plain formulas and
+puts `det = None` in its context; otherwise `det` is their mask and the
+guarded formulas run.  Every adjoint accepts both, and gives the same bits
+on the other units either way.
 """
 
 from __future__ import annotations
@@ -75,11 +76,10 @@ SYM_RTOL = 1e-9
 
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
-# Whole-array reductions of the per-call guards, without the Python frame of
-# `ndarray.min()` and friends: a tenth of their cost on a 20-unit row.
+# Whole-array reductions, without the Python frame of `ndarray.min()` and
+# friends: a tenth of their cost on a 20-unit row.
 _min = np.minimum.reduce
 _max = np.maximum.reduce
-_all = np.logical_and.reduce
 
 
 class MomentError(ValueError):
@@ -125,13 +125,35 @@ def _counted_sqrt(x: np.ndarray) -> np.ndarray:
     return np.sqrt(x)
 
 
+def _least(a: np.ndarray):
+    """The smallest entry of `a`, NaN when any entry is, or 0.0 when it has
+    none.  `argmin` stops at the first NaN and costs about half of
+    `np.minimum.reduce` on a contiguous row or a 1-d view, but walks the
+    strided (B, n) diagonal view of a batch-last covariance slower at large
+    B, so there the reduction stays."""
+    if not a.size:
+        return 0.0
+    if a.ndim == 1 or a.flags.c_contiguous:
+        return a.flat[a.argmin()]
+    return _min(a, axis=None)
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every entry of `a` is finite.  a·a is NaN or inf when an entry
+    is, or when finite entries overflow (which numpy warns of), so one dot
+    product decides the common case and only a non-finite one looks at
+    every entry."""
+    flat = a.ravel()
+    return math.isfinite(flat.dot(flat)) or bool(np.isfinite(flat).all())
+
+
 def _clamp_variances(var: np.ndarray, where: str) -> np.ndarray:
     """Zero out tiny negative variances; raise on anything worse.
 
-    One `min` decides the common case.  NaN entries stay NaN and -0.0 is not
-    negative; the minimum is NaN when any entry is, so then the raise looks
-    at every entry."""
-    worst = _min(var, axis=None) if var.size else 0.0
+    One `_least` decides the common case.  NaN entries stay NaN and -0.0 is
+    not negative; the minimum is NaN when any entry is, so then the raise
+    looks at every entry."""
+    worst = _least(var)
     if worst >= 0.0:
         return var
     if worst < VAR_CLAMP or (worst != worst and np.any(var < VAR_CLAMP)):
@@ -143,10 +165,10 @@ def _floor_guard(var: np.ndarray, where: str):
     """A gate's input variances clamped, their square roots, and the mask
     of the units whose σ is below `SIGMA_FLOOR`, or None when there are none.
 
-    One `min` decides the common case: no negative or NaN variance and
+    One `_least` decides the common case: no negative or NaN variance and
     sqrt(min var) at or above the floor.  Anything else takes the
     element-wise path of `_clamp_variances`."""
-    worst = _min(var, axis=None) if var.size else 0.0
+    worst = _least(var)
     if worst >= 0.0 and math.sqrt(worst) >= SIGMA_FLOOR:
         return var, _counted_sqrt(var), None
     var = _clamp_variances(var, where)
@@ -200,23 +222,25 @@ class MomentVector:
         cov = np.asarray(self.cov, dtype=float)
         if mean.ndim != 1 or mean.size == 0:
             raise MomentError("mean must be a non-empty 1-d vector")
-        # max |cov| is finite exactly when every entry is, and it is also
-        # the symmetry check's scale.
-        cov_max = float(_max(np.abs(cov), axis=None)) if cov.size else 0.0
-        if not (_all(np.isfinite(mean)) and math.isfinite(cov_max)):
-            raise MomentError("non-finite entries in moments")
         n = mean.size
+        # The common case from one reduction per array.  In full mode,
+        # cov − covᵀ has a NaN or +inf wherever cov has a non-finite entry,
+        # so a largest entry within SYM_RTOL (which the symmetry bound's
+        # max(1, max |cov|) only widens) also says that cov is finite.
+        # Anything else takes `_check_moments`, which raises in order.
         if self.mode == FULL:
-            if cov.shape != (n, n):
-                raise MomentError(f"full covariance must be ({n}, {n}), got {cov.shape}")
-            # cov − covᵀ is exactly antisymmetric, so its max is its max |·|.
-            if _max(cov - cov.T, axis=None) > SYM_RTOL * max(1.0, cov_max):
-                raise MomentError("full covariance is not symmetric")
+            ok = cov.shape == (n, n)
+            if ok:
+                asym = cov - cov.T
+                ok = asym.flat[asym.argmax()] <= SYM_RTOL
+        else:
+            ok = cov.shape == (n,) and _finite(cov)
+        if not (ok and _finite(mean)):
+            _check_moments(mean, cov, self.mode)
+        if self.mode == FULL:
             cov = cov.copy()
             _clamp_diag_inplace(cov, "MomentVector")
         else:
-            if cov.shape != (n,):
-                raise MomentError(f"diag covariance must be ({n},), got {cov.shape}")
             cov = _clamp_variances(cov.copy(), "MomentVector")
         mean = mean.copy()
         mean.setflags(write=False)
@@ -234,6 +258,25 @@ class MomentVector:
         if self.mode == FULL:
             return _diag(self.cov)
         return self.cov
+
+
+def _check_moments(mean, cov, mode):
+    """`MomentVector`'s checks one by one: finiteness, then the shape, then
+    the symmetry.  Raises at the first that fails."""
+    # max |cov| is finite exactly when every entry is, and it is also the
+    # symmetry check's scale.
+    cov_max = float(_max(np.abs(cov), axis=None)) if cov.size else 0.0
+    if not (_finite(mean) and math.isfinite(cov_max)):
+        raise MomentError("non-finite entries in moments")
+    n = mean.size
+    if mode == FULL:
+        if cov.shape != (n, n):
+            raise MomentError(f"full covariance must be ({n}, {n}), got {cov.shape}")
+        # cov − covᵀ is exactly antisymmetric, so its max is its max |·|.
+        if _max(cov - cov.T, axis=None) > SYM_RTOL * max(1.0, cov_max):
+            raise MomentError("full covariance is not symmetric")
+    elif cov.shape != (n,):
+        raise MomentError(f"diag covariance must be ({n},), got {cov.shape}")
 
 
 @dataclass(frozen=True)

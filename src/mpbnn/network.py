@@ -23,7 +23,7 @@ exactly the kinds `_FWD` knows, and `mpbnn check` oracle-checks each of them
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -81,11 +81,15 @@ def dropout(rate: float) -> LayerSpec:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Ordered layer list plus covariance mode and output-head type."""
+    """Ordered layer list plus covariance mode and output-head type.
+
+    `input_dim`, the first dense layer's input width, is derived here once,
+    not on every pass."""
 
     layers: tuple
     covariance_mode: str
     head: str
+    input_dim: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "layers", tuple(self.layers))
@@ -97,7 +101,9 @@ class ModelConfig:
         last_dense = None
         for layer in self.layers:
             if layer.kind == DENSE:
-                if width is not None and layer.in_dim != width:
+                if width is None:
+                    object.__setattr__(self, "input_dim", layer.in_dim)
+                elif layer.in_dim != width:
                     raise ValueError(
                         f"dense in_dim {layer.in_dim} does not chain from width {width}"
                     )
@@ -110,13 +116,6 @@ class ModelConfig:
                 f"head {self.head!r} needs final dense out {HEAD_DIMS[self.head]}, "
                 f"got {last_dense.out_dim}"
             )
-
-    @property
-    def input_dim(self) -> int:
-        for layer in self.layers:
-            if layer.kind == DENSE:
-                return layer.in_dim
-        raise ValueError("no dense layer")
 
     @property
     def dense_shapes(self) -> list:
@@ -247,6 +246,11 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     return mean, cov
 
 
+class _InputError(MomentError):
+    """`forward_batch`'s rejection of its input, which `forward` words for
+    the vector it was given."""
+
+
 def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
     """Moment pass over a batch of deterministic inputs.
 
@@ -256,19 +260,27 @@ def forward_batch(config: ModelConfig, params: ParameterSet, xs: np.ndarray):
     """
     xs = np.asarray(xs, dtype=float)
     if xs.ndim != 2 or xs.shape[1] != config.input_dim:
-        raise MomentError(f"input batch must be (B, {config.input_dim}), got {xs.shape}")
-    if not moments._all(np.isfinite(xs), axis=None):
-        raise MomentError("non-finite entries in input batch")
+        raise _InputError(f"input batch must be (B, {config.input_dim}), got {xs.shape}")
+    if not moments._finite(xs):
+        raise _InputError("non-finite entries in input batch")
     mean, cov = _run_layers(config, params, xs)
     return mean, (cov.transpose(2, 0, 1) if config.covariance_mode == FULL else cov)
 
 
 def forward(config: ModelConfig, params: ParameterSet, x) -> MomentVector:
-    """Propagate one feature vector to the head MomentVector."""
+    """Propagate one feature vector to the head MomentVector.
+
+    The vector is checked once, as `forward_batch`'s batch of one; a
+    rejection is raised again in terms of the vector."""
     x = np.asarray(x, dtype=float)
-    if x.ndim != 1:
-        raise MomentError(f"input must be a 1-d vector, got shape {x.shape}")
-    mean, cov = forward_batch(config, params, x[None])
+    try:
+        mean, cov = forward_batch(config, params, x[None])
+    except _InputError:
+        if x.shape != (config.input_dim,):
+            raise MomentError(
+                f"input must be a vector of {config.input_dim} features, got shape {x.shape}"
+            ) from None
+        raise MomentError("non-finite entries in input vector") from None
     return MomentVector(mean[0], cov[0], config.covariance_mode)
 
 

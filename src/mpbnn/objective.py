@@ -124,22 +124,21 @@ def _ell1_bwd(ctx, g_ell):
     return g_mean, g_cov
 
 
-def _predictive(m1, s11, m2, s22, head):
-    """Moment-matched predictive (mean, variance) from the head's first unit
-    and its last, the log-variance of a 2-output head: columns of a batch or
-    one head's scalars."""
+def _predictive_var(s11, m2, s22, head):
+    """Moment-matched predictive variance, before its floor, from the head's
+    first variance and its last unit, the log-variance of a 2-output head:
+    columns of a batch or one head's floats."""
     if head == HEAD_HETEROSCEDASTIC:
-        var = s11 + np.exp(m2 + 0.5 * s22)
-    else:
-        var = s11 + VARIANCE_FLOOR
-    return m1, np.maximum(var, VARIANCE_FLOOR)
+        return s11 + np.exp(m2 + 0.5 * s22)
+    return s11 + VARIANCE_FLOOR
 
 
 def _predictive_batch(mean, cov, head, mode):
     """Batched moment-matched predictive (means, variances) from the
     (B, h) means and (B, h, h) or (B, h) covariances of `forward_batch`."""
     var = cov.diagonal(0, 1, 2) if mode == FULL else cov
-    return _predictive(mean[:, 0], var[:, 0], mean[:, -1], var[:, -1], head)
+    return mean[:, 0], np.maximum(_predictive_var(var[:, 0], mean[:, -1], var[:, -1], head),
+                                  VARIANCE_FLOOR)
 
 
 # ---------------------------------------------------------------------------
@@ -171,9 +170,12 @@ def predictive_moments(head_mv: MomentVector, head_type: str) -> PredictiveMomen
     if head_type not in HEAD_DIMS:
         raise MomentError(f"unknown head type {head_type!r}")
     _check_head(head_mv, HEAD_DIMS[head_type], "predictive_moments")
-    mean, var = head_mv.mean, head_mv.variances
-    m, v = _predictive(mean[0], var[0], mean[-1], var[-1], head_type)
-    return PredictiveMoments(float(m), float(v))
+    mean, var = head_mv.mean.tolist(), head_mv.variances.tolist()
+    v = float(_predictive_var(var[0], mean[-1], var[-1], head_type))
+    # The floor as `np.maximum` applies it in `_predictive_batch`, on floats:
+    # `max` returns its first argument unless the second is larger, so a NaN
+    # stays NaN and `PredictiveMoments` rejects it.
+    return PredictiveMoments(mean[0], max(v, VARIANCE_FLOOR))
 
 
 def _gaussian_nll(mean, var, y):

@@ -98,6 +98,136 @@ class TestMomentVector:
             mv.mean[0] = 2.0
 
 
+# References for the guards' decisions: every minimum by `np.minimum.reduce`
+# and every finiteness check by `np.isfinite`, as the guards first made them.
+def ref_clamp_variances(var, where):
+    worst = np.minimum.reduce(var, axis=None) if var.size else 0.0
+    if worst >= 0.0:
+        return var
+    if worst < m.VAR_CLAMP or (worst != worst and np.any(var < m.VAR_CLAMP)):
+        raise m.MomentError(f"negative variance {float(worst):.3e} in {where}")
+    return np.where(var < 0.0, 0.0, var)
+
+
+def ref_floor_guard(var, where):
+    worst = np.minimum.reduce(var, axis=None) if var.size else 0.0
+    if worst >= 0.0 and math.sqrt(worst) >= m.SIGMA_FLOOR:
+        return var, np.sqrt(var), None
+    var = ref_clamp_variances(var, where)
+    sigma = np.sqrt(var)
+    det = sigma < m.SIGMA_FLOOR
+    return var, sigma, (det if det.any() else None)
+
+
+def ref_moment_vector(mean, cov, mode):
+    """(mean, cov) as `MomentVector` stores them, or its raise."""
+    cov_max = float(np.maximum.reduce(np.abs(cov), axis=None)) if cov.size else 0.0
+    if not (np.isfinite(mean).all() and math.isfinite(cov_max)):
+        raise m.MomentError("non-finite entries in moments")
+    n = mean.size
+    if mode == m.FULL:
+        if cov.shape != (n, n):
+            raise m.MomentError(f"full covariance must be ({n}, {n}), got {cov.shape}")
+        if np.maximum.reduce(cov - cov.T, axis=None) > m.SYM_RTOL * max(1.0, cov_max):
+            raise m.MomentError("full covariance is not symmetric")
+        cov = cov.copy()
+        np.fill_diagonal(cov, ref_clamp_variances(np.diagonal(cov).copy(), "MomentVector"))
+        return mean, cov
+    if cov.shape != (n,):
+        raise m.MomentError(f"diag covariance must be ({n},), got {cov.shape}")
+    return mean, ref_clamp_variances(cov.copy(), "MomentVector")
+
+
+def outcome(fn, *args):
+    """What a call returned, as bytes (None stays None), or the message it
+    raised."""
+    try:
+        with np.errstate(invalid="ignore", over="ignore"):
+            out = fn(*args)
+    except m.MomentError as exc:
+        return "raise", str(exc)
+    parts = out if isinstance(out, tuple) else (out,)
+    return "ok", [None if a is None else (a.shape, np.asarray(a).tobytes()) for a in parts]
+
+
+EDGES = [np.nan, np.inf, -np.inf, -0.0, 0.0, -5e-11, m.VAR_CLAMP, -1e-6,
+         m.SIGMA_FLOOR**2, np.nextafter(m.SIGMA_FLOOR**2, 0.0), 1e-300, 1e200]
+# Mostly valid variances, with every edge at any position.
+variances = st.one_of(
+    st.floats(0.0, 4.0),
+    st.floats(m.VAR_CLAMP, 0.0, exclude_min=True, exclude_max=True),
+    st.sampled_from(EDGES),
+)
+
+
+@st.composite
+def variance_arrays(draw):
+    """Variances as the guards see them: a contiguous (B, n) array, the
+    strided (B, n) diagonal view of a batch-last (n, n, B) covariance, a
+    1-d vector or the diagonal of one (n, n) matrix."""
+    batch, n = draw(st.integers(1, 4)), draw(st.integers(1, 5))
+    vals = np.array(draw(st.lists(variances, min_size=batch * n, max_size=batch * n)))
+    layout = draw(st.sampled_from(["rows", "batch-last", "vector", "matrix"]))
+    if layout == "rows":
+        return vals.reshape(batch, n)
+    if layout == "vector":
+        return vals[:n].copy()
+    cov = np.full((n, n, batch), 0.3)
+    m._diag(cov, write=True)[...] = vals.reshape(batch, n)
+    return m._diag(cov) if layout == "batch-last" else m._diag(cov[..., 0].copy())
+
+
+class TestGuardReductions:
+    """The guards take their minimum by `argmin` where that is cheaper and
+    their finiteness from one dot product; every decision, returned byte and
+    message stays that of `np.minimum.reduce` and `np.isfinite`."""
+
+    @given(variance_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_clamp_variances_matches_reference(self, var):
+        got = outcome(m._clamp_variances, var, "t")
+        assert got == outcome(ref_clamp_variances, var, "t")
+        if np.minimum.reduce(var, axis=None) >= 0.0:  # nothing to clamp: no copy
+            assert m._clamp_variances(var, "t") is var
+
+    @given(variance_arrays())
+    @settings(max_examples=300, deadline=None)
+    def test_floor_guard_matches_reference(self, var):
+        assert outcome(m._floor_guard, var, "t") == outcome(ref_floor_guard, var, "t")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    @given(st.lists(variances, max_size=12), st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_finite_matches_isfinite(self, vals, rows):
+        a = np.array(vals * rows).reshape(rows, -1)
+        for view in (a, a.T, a[:, ::2]):
+            assert m._finite(view) == bool(np.isfinite(view).all())
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_moment_vector_matches_reference(self, data):
+        mode = data.draw(st.sampled_from(m.MODES))
+        n = data.draw(st.integers(1, 4))
+        size = n + data.draw(st.sampled_from([0, 0, 0, 1]))  # now and then the wrong shape
+        mean = np.array(data.draw(st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from(EDGES)),
+                                           min_size=n, max_size=n)))
+        if mode == m.DIAG:
+            cov = np.array(data.draw(st.lists(variances, min_size=size, max_size=size)))
+        else:
+            a = np.array(data.draw(st.lists(st.one_of(st.floats(-1.0, 1.0), st.sampled_from(EDGES)),
+                                            min_size=size * size, max_size=size * size)))
+            a = a.reshape(size, size)
+            cov = np.where(np.tri(size, dtype=bool), a.T, a)
+            np.fill_diagonal(cov, data.draw(st.lists(variances, min_size=size, max_size=size)))
+            cov[0, -1] += data.draw(st.sampled_from([0.0, 0.0, 5e-10, 2e-9, 1e-3]))
+
+        def build(mean, cov, mode):
+            mv = m.MomentVector(mean, cov, mode)
+            return mv.mean, mv.cov
+
+        assert outcome(build, mean, cov, mode) == outcome(ref_moment_vector, mean, cov, mode)
+
+
 class TestLiftDeterministic:
     def test_wraps_values_with_zero_covariance(self):
         mv = m.lift_deterministic([1.0, -2.0], m.FULL)

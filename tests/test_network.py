@@ -1,7 +1,11 @@
 """Model assembly: architecture fidelity, initialization, forward pass, persistence."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mpbnn import moments as m
 from mpbnn import network as net
@@ -166,8 +170,85 @@ class TestForward:
     def test_wrong_input_dim_rejected(self):
         config = net.build_mp_gelu_model(5, 4)
         params = net.init_parameters(config, 0)
-        with pytest.raises(m.MomentError):
-            net.forward(config, params, np.zeros(4))
+        for x, shape in ((np.zeros(4), r"\(4,\)"), (np.zeros((1, 5)), r"\(1, 5\)"),
+                         (0.0, r"\(\)")):
+            with pytest.raises(m.MomentError,
+                               match=rf"^input must be a vector of 5 features, got shape {shape}$"):
+                net.forward(config, params, x)
+        with pytest.raises(m.MomentError, match=r"^input batch must be \(B, 5\), got \(2, 4\)$"):
+            net.forward_batch(config, params, np.zeros((2, 4)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, bad):
+        """`forward` names the vector it was given, `forward_batch` the batch."""
+        config = net.build_mp_gelu_model(5, 4)
+        params = net.init_parameters(config, 0)
+        x = np.zeros(5)
+        x[3] = bad
+        with pytest.raises(m.MomentError, match="^non-finite entries in input vector$"):
+            net.forward(config, params, x)
+        with pytest.raises(m.MomentError, match="^non-finite entries in input batch$"):
+            net.forward_batch(config, params, np.stack([np.zeros(5), x]))
+
+    @given(st.lists(st.one_of(st.floats(-3.0, 3.0),
+                              st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 1e200])),
+                    min_size=1, max_size=12))
+    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered in dot")
+    def test_input_check_matches_isfinite(self, vals):
+        """The input check accepts exactly what `np.isfinite` calls finite,
+        whatever the shape, and names what it was given."""
+        config = net.build_mp_gelu_model(4, 3, 0.05, m.DIAG)
+        params = net.init_parameters(config, 0)
+        xs = np.array(vals)
+
+        def passed(fn, x):
+            try:
+                fn(config, params, x)
+            except m.MomentError as exc:
+                return str(exc)
+            return "passed"
+
+        bad = "passed" if np.isfinite(xs).all() else "non-finite entries in input"
+        stub = mock.Mock(return_value=(np.zeros((1, 2)), np.zeros((1, 2))))
+        with mock.patch.object(net, "_run_layers", stub):
+            if xs.size == 4:
+                assert passed(net.forward, xs) == bad.replace("input", "input vector")
+            else:
+                assert passed(net.forward, xs).startswith("input must be a vector of 4")
+            if xs.size % 4 == 0:
+                batch = xs.reshape(-1, 4)
+                assert passed(net.forward_batch, batch) == bad.replace("input", "input batch")
+                assert passed(net.forward_batch, batch.T[::-1].T) == passed(net.forward_batch,
+                                                                            batch)
+
+    @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_forward_is_row_zero_of_a_batch_of_one(self, arch, mode):
+        """One path: `forward` is `forward_batch` on its vector, bit for bit."""
+        config = net.build_model(arch, 13, 20, 0.05, mode, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 6)
+        for x in np.random.default_rng(3).standard_normal((4, 13)):
+            mv = net.forward(config, params, x)
+            means, covs = net.forward_batch(config, params, x[None])
+            np.testing.assert_array_equal(mv.mean, means[0])
+            np.testing.assert_array_equal(mv.cov, covs[0])
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_weight_edited_in_place_reaches_the_next_pass(self, mode):
+        """SGD updates weights in place, so nothing derived from them is kept
+        between passes."""
+        config = net.build_relu_model(5, 6, 0.1, mode, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 2)
+        x = np.random.default_rng(4).standard_normal(5)
+        before = net.forward(config, params, x)
+        for layer in range(3):
+            params.weights[layer] *= 1.5
+            params.biases[layer] += 0.25
+            after = net.forward(config, params, x)
+            assert not np.array_equal(after.mean, before.mean)
+            assert not np.array_equal(after.cov, before.cov)
+            before = after
 
     @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])

@@ -142,6 +142,7 @@ class TestLossAndGradients:
             config = net.build_model(arch, 3, 5, 0.1, mode, net.HEAD_HETEROSCEDASTIC)
             params = net.init_parameters(config, 0)
             for run, want in ((lambda: net.forward_batch(config, params, x), fwd),
+                              (lambda: net.forward(config, params, x[0]), fwd),
                               (lambda: tr.loss_and_gradients(config, params, x, y), {**fwd, **bwd}),
                               (lambda: mc_network_moments(config, params, x[0], 1000, 0), fwd)):
                 calls.clear()
