@@ -280,6 +280,8 @@ def cmd_benchmark(widths=BENCH_WIDTHS, mode: str = FULL, repetitions: int = 50,
     was pinned to one thread while timing (see `training.blas_pinned`)."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if not widths:
+        raise ValueError("no widths to benchmark")
     rows = []
     pinned = training.blas_pinned()
     rng = np.random.default_rng(seed)
@@ -486,42 +488,28 @@ def _probe_heads(config, params, x, states, li, probes):
     """The head moments (mean, cov) under each of `probes`, a chunk of
     dense layer li's probes.
 
-    Below the head, each probe runs layer li alone from its recorded input
-    state, the chunk's outputs go through the layers up to the head
-    stacked along the batch axis, and the head runs on each probe's rows.
-    Those rows have the bits of one pass per probe: the layers below the
-    head work row by row, and the gates' batch-wide guards give the same
-    bits on the other units either way.  A one-output head's product is a
-    BLAS matrix-vector call, whose rounding depends on where a row sits.
-    So the head's probes, and those of a one-row batch, whose every dense
-    product is such a call, run from layer li, one pass each."""
-    if li == len(states) - 1 or x.shape[0] == 1:
-        heads = []
-        for probe in probes:
-            with _moved(params, li, probe):
-                heads.append(network._run_layers(config, params, x, resume=states[li]))
-        return heads
+    Each probe runs layer li alone from its recorded input state: the head
+    moments if li is the head, the last layer.  Below it, the chunk's
+    outputs go up to the head's input in one pass, stacked along the batch
+    axis, with the bits of one pass per probe: those layers work row by
+    row, and the gates' batch-wide guards give the same bits on the other
+    units either way.  The head runs on each probe's rows: a one-output
+    head's product is a matrix-vector call, rounded by where a row sits."""
     layer_i, _, mean, cov = states[li]
     layer, mode = config.layers[layer_i], config.covariance_mode
-    means, covs = [], []
+    wb, outs = (params.weights[li], params.biases[li]), []
     for probe in probes:
         with _moved(params, li, probe):
-            wb = (params.weights[li], params.biases[li])
-            out_mean, out_cov, _ = network._FWD[network.DENSE](layer, mean, cov, wb, mode)
-        means.append(out_mean)
-        covs.append(out_cov)
-    # A full covariance is batch-last (see `moments`).
-    full = mode == FULL
-    above = []
-    network._run_layers(config, params, x, states=above, resume=(
-        layer_i + 1, li + 1, np.concatenate(means), np.concatenate(covs, -1 if full else 0)))
-    head_i, head_d, head_mean, head_cov = above[-1]
-    batch, heads = x.shape[0], []
-    for k in range(0, len(probes) * batch, batch):
-        rows = slice(k, k + batch)
-        heads.append(network._run_layers(config, params, x, resume=(
-            head_i, head_d, head_mean[rows], head_cov[..., rows] if full else head_cov[rows])))
-    return heads
+            outs.append(network._FWD[network.DENSE](layer, mean, cov, wb, mode)[:2])
+    head_i, head_d = states[-1][:2]
+    if li == head_d:
+        return outs
+    mean, cov = network._run_layers(config, params, x, stop=head_i, resume=(
+        layer_i + 1, li + 1, *map(moments._stack_rows, zip(*outs))))
+    batch = x.shape[0]
+    return [network._run_layers(config, params, x, resume=(
+                head_i, head_d, moments._rows(mean, rows), moments._rows(cov, rows)))
+            for rows in (slice(k, k + batch) for k in range(0, len(probes) * batch, batch))]
 
 
 def _chunk_losses(config, heads, y, li, probes):
@@ -529,9 +517,7 @@ def _chunk_losses(config, heads, y, li, probes):
     objective call over the chunk's rows.  When that call finds a
     non-finite value, the probes are scored one at a time and the first
     failing one's error names its layer, parameter and step."""
-    full = config.covariance_mode == FULL
-    mean = np.concatenate([m for m, _ in heads])
-    cov = np.concatenate([c for _, c in heads], -1 if full else 0)
+    mean, cov = map(moments._stack_rows, zip(*heads))
     try:
         return training._head_loss(config, mean, cov, y, len(heads))[0].tolist()
     except FloatingPointError:
@@ -548,11 +534,13 @@ def _probe_losses(config, params, x, y, states, li):
     """The probes of dense layer li, each weight then each bias moved by
     +FD_STEP and then by -FD_STEP, as (array name, index, step), with the
     loss under each: the probes' head moments (`_probe_heads`) are scored
-    FD_CHUNK_ROWS rows at a time (`_chunk_losses`)."""
+    FD_CHUNK_ROWS rows at a time (`_chunk_losses`).  A one-row batch's
+    chunks are single probes: its dense products are matrix-vector calls,
+    which round otherwise than a product over several probes' rows."""
     probes = [(name, idx, step) for name in ("weights", "biases")
               for idx in np.ndindex(getattr(params, name)[li].shape)
               for step in (FD_STEP, -FD_STEP)]
-    per_chunk = max(1, FD_CHUNK_ROWS // x.shape[0])
+    per_chunk = max(1, FD_CHUNK_ROWS // len(x)) if len(x) > 1 else 1
     losses = []
     for start in range(0, len(probes), per_chunk):
         chunk = probes[start:start + per_chunk]

@@ -25,8 +25,9 @@ layers: gain_i gain_j Σ_ij off the diagonal, their own variances on it.
 They read their input variances with `_variances` (`_diag`'s (B, n) view in
 full mode) and return their covariance through `_gained`, the only places
 that look at the layout, so their per-unit formulas are the same in both
-modes.  `forward_batch` and the public operations keep the (B, n, n) and
-(n, n) layouts of their callers.
+modes.  `_stack_rows` and `_rows` join and slice kernel arrays along the
+batch axis.  `forward_batch` and the public operations keep the (B, n, n)
+and (n, n) layouts of their callers.
 
 Buffer rule: the full-mode kernel outputs and scratch arrays come from
 `_empty`.  Outside a training step that is plain `np.empty`, so
@@ -377,6 +378,17 @@ def _dense_fwd(mean, cov, w, b, mode):
 def _variances(cov) -> np.ndarray:
     """The (B, n) per-unit variances of a kernel covariance in either layout."""
     return _diag(cov) if cov.ndim == 3 else cov
+
+
+def _stack_rows(arrays) -> np.ndarray:
+    """Kernel means, or covariances in either layout, joined along their
+    batch axis: the last of an (n, n, B) covariance, else the first."""
+    return np.concatenate(arrays, -1 if arrays[0].ndim == 3 else 0)
+
+
+def _rows(a, rows) -> np.ndarray:
+    """The batch rows `rows` (a slice) of a kernel mean or covariance."""
+    return a[..., rows] if a.ndim == 3 else a[rows]
 
 
 def _gained(cov, gain, var, out=None):

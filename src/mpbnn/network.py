@@ -9,8 +9,8 @@ dense layer:
     rectifier: Dropout, Dense(Q→w), ReLU, Dropout, Dense(w→w), ReLU,
                Dropout, Dense(w→out)
 
-The output head is either two units (predictive mean plus log-variance) or
-one unit (mean only).
+The output head, the last layer, is a dense layer of either two units
+(predictive mean plus log-variance) or one unit (mean only).
 
 A layer kind is stated in five places: its forward kernel in `moments` and
 backward kernel in `training`, its `_FWD` entry below and its `_BWD` entry in
@@ -98,7 +98,6 @@ class ModelConfig:
         if self.head not in HEAD_DIMS:
             raise ValueError(f"unknown head type {self.head!r}")
         width = None
-        last_dense = None
         for layer in self.layers:
             if layer.kind == DENSE:
                 if width is None:
@@ -108,13 +107,13 @@ class ModelConfig:
                         f"dense in_dim {layer.in_dim} does not chain from width {width}"
                     )
                 width = layer.out_dim
-                last_dense = layer
-        if last_dense is None:
+        if width is None:
             raise ValueError("model must contain at least one dense layer")
-        if last_dense.out_dim != HEAD_DIMS[self.head]:
+        if self.layers[-1].kind != DENSE:
+            raise ValueError(f"the head must be the last layer, not {self.layers[-1].kind!r}")
+        if width != HEAD_DIMS[self.head]:
             raise ValueError(
-                f"head {self.head!r} needs final dense out {HEAD_DIMS[self.head]}, "
-                f"got {last_dense.out_dim}"
+                f"head {self.head!r} needs final dense out {HEAD_DIMS[self.head]}, got {width}"
             )
 
     @property
@@ -204,7 +203,7 @@ def init_parameters(config: ModelConfig, seed) -> ParameterSet:
 
 
 def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=None,
-                states=None, resume=None):
+                states=None, resume=None, stop=None):
     """The moment pass over a (B, Q) batch of deterministic inputs.
 
     The covariance starts as per-unit variances (see `moments`).  With a
@@ -225,10 +224,11 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     runs on bit for bit while no parameter below that layer changes (the
     kernels never write to their inputs).  States come from an untaped
     pass: a taped pass's pooled arrays are lent again once its step closes.
+    The pass returns the input of layer index `stop` (None: the output).
     """
     mode = config.covariance_mode
     first, dense_i, mean, cov = resume or (0, 0, xs, np.zeros(xs.shape))
-    for layer_i, layer in enumerate(config.layers[first:], first):
+    for layer_i, layer in enumerate(config.layers[first:stop], first):
         kind = layer.kind
         wb = None
         if kind == DENSE:
@@ -318,10 +318,12 @@ def model_from_json(text: str):
         [np.asarray(w, dtype=float) for w in doc["weights"]],
         [np.asarray(b, dtype=float) for b in doc["biases"]],
     )
-    expected = config.dense_shapes
-    actual = [w.shape for w in params.weights]
-    if actual != expected:
-        raise ValueError(f"weight shapes {actual} do not match config {expected}")
+    shapes = config.dense_shapes
+    for what, arrays, expected in (("weight", params.weights, shapes),
+                                   ("bias", params.biases, [(m,) for m, _ in shapes])):
+        actual = [a.shape for a in arrays]
+        if actual != expected:
+            raise ValueError(f"{what} shapes {actual} do not match config {expected}")
     return config, params
 
 

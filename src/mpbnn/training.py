@@ -16,16 +16,12 @@ the input and their derivative terms are zero (the rectifier-limit
 subgradient convention).  A context's `det` is None when no unit is below
 the floor (see `moments`); the adjoints then skip the masks.
 
-Finite differences are kept as a test oracle only; this module is the
-production gradient path.  `loss_and_gradients` runs a taped forward pass
-and the backward pass inside a pooled step (see `moments`).  `loss` gives
-the same loss, bit for bit, from the forward pass alone: the whole-pass
-reference of the finite-difference tests.  Both take their input checks
-and head objective from one place (`_batch`, `_head_loss`).  `_head_loss`
-also scores several passes stacked along the batch axis, each to the bits
-of its own call: the finite-difference probes of `cli.fd_check` score the
-head moments of up to `cli.FD_CHUNK_ROWS` rows of probes with one call, 24
-calls for the 1320 probes of an `mpbnn check` sweep.
+Finite differences are kept as a test oracle only (`cli.fd_check`); this
+module is the production gradient path.  `loss_and_gradients` runs a taped
+forward pass and the backward pass inside a pooled step (see `moments`).
+`loss` gives the same loss, bit for bit, from the forward pass alone: the
+whole-pass reference of the finite-difference tests.  Both take their input
+checks and head objective from one place (`_batch`, `_head_loss`).
 
 `train` and `evaluate_model` run with BLAS pinned to one thread
 (`single_thread_blas`): through threadpoolctl when it is installed, else
@@ -318,7 +314,7 @@ def _batch(xs, ys):
 def _head_loss(config, mean, cov, ys, passes=1):
     """Mean negative expected log-likelihood of head moments: those of one
     pass over the batch `ys`, or of `passes` such passes stacked along the
-    batch axis (a full covariance's last axis, else its first).
+    batch axis (`moments._stack_rows`).
 
     Returns (each pass's loss as an array, the head's objective backward
     kernel, its context)."""

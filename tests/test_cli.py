@@ -332,6 +332,11 @@ class TestBenchmarkCommand:
         err = capsys.readouterr().err
         assert err.startswith(f"error: repetitions must be >= 1, got {reps}")
 
+    def test_no_widths_is_an_error(self, tmp_path):
+        with pytest.raises(ValueError, match="^no widths to benchmark$"):
+            cli.cmd_benchmark(widths=(), out_path=tmp_path / "bench.csv")
+        assert not (tmp_path / "bench.csv").exists()
+
     def test_gated_pipeline_has_fewer_layers(self):
         from mpbnn import network as net
 
@@ -474,6 +479,25 @@ class TestMainWiring:
         code = cli.main(["toy", "--out", str(tmp_path), "--seed", "1", "--epochs", "5"])
         assert code == 0
         assert (tmp_path / "toy_relu.csv").exists()
+
+    def test_check_via_main(self, capsys):
+        assert cli.main(["check", "--level", "quick", "--seed", "0"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 18
+        assert all(line.startswith("PASS ") for line in lines[:17])
+        assert lines[17] == "17/17 checks passed (level=quick)"
+
+    def test_uci_via_main(self, tmp_path, capsys):
+        manifest = write_synth_dataset(tmp_path)
+        out = tmp_path / "out"
+        code = cli.main(["uci", "--manifest", str(manifest), "--dataset", "synth",
+                         "--arch", "mp_gelu", "--out", str(out), "--repeats", "2",
+                         "--epochs", "2", "--dropout", "0.01", "--jobs", "1"])
+        assert code == 0
+        line, = capsys.readouterr().out.splitlines()
+        assert line.startswith("synth mp_gelu full head=heteroscedastic2 rate=0.01: NLL ")
+        tag = "synth_mp_gelu_full_heteroscedastic2"
+        assert sorted(p.name for p in out.iterdir()) == [f"uci_{tag}.csv", f"uci_{tag}.json"]
 
     def test_config_file_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -57,6 +57,11 @@ class TestBuilders:
         with pytest.raises(ValueError):
             net.ModelConfig(layers, m.FULL, net.HEAD_HETEROSCEDASTIC)
 
+    def test_layer_after_the_head_rejected(self):
+        layers = (net.dense(3, 20), net.dense(20, 2), net.dropout(0.1))
+        with pytest.raises(ValueError, match="^the head must be the last layer, not 'dropout'$"):
+            net.ModelConfig(layers, m.FULL, net.HEAD_HETEROSCEDASTIC)
+
     def test_dense_chain_mismatch_rejected(self):
         layers = (net.dense(3, 8), net.dense(9, 2))
         with pytest.raises(ValueError):
@@ -312,4 +317,24 @@ class TestPersistence:
         doc = json.loads(net.model_to_json(config, params))
         doc["weights"][0] = [[0.0, 0.0], [0.0, 0.0]]
         with pytest.raises(ValueError):
+            net.model_from_json(json.dumps(doc))
+
+    def test_head_bias_of_wrong_length_rejected(self):
+        import json
+
+        config = net.build_mp_gelu_model(3, 4)
+        doc = json.loads(net.model_to_json(config, net.init_parameters(config, 0)))
+        doc["biases"][-1] = [0.0]
+        with pytest.raises(ValueError, match=r"^bias shapes \[\(4,\), \(4,\), \(1,\)\] "
+                                             r"do not match config \[\(4,\), \(4,\), \(2,\)\]$"):
+            net.model_from_json(json.dumps(doc))
+
+    def test_missing_bias_list_rejected(self):
+        import json
+
+        config = net.build_mp_gelu_model(3, 4)
+        doc = json.loads(net.model_to_json(config, net.init_parameters(config, 0)))
+        del doc["biases"][1]
+        with pytest.raises(ValueError, match=r"^bias shapes \[\(4,\), \(2,\)\] "
+                                             r"do not match config \[\(4,\), \(4,\), \(2,\)\]$"):
             net.model_from_json(json.dumps(doc))

@@ -279,8 +279,9 @@ class TestResume:
         compared by repr, in chunks of the default size and of 7 rows, and
         with every coordinate a violation, so that each probe's difference
         is in the result.  The head runs once per probe, the objective once
-        per chunk of probes; the states the probes start from are never
-        written to."""
+        per chunk of probes, and one stacked pass per chunk below the head
+        stops at the head's input; the states the probes start from are
+        never written to."""
         rng = np.random.default_rng(29)
         for arch in (net.ARCH_MP_GELU, net.ARCH_RELU):
             for head in (net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC):
@@ -326,8 +327,11 @@ class TestResume:
         one `loss_and_gradients` call, with its own objective call, and one
         objective call per chunk of probes (3, as each layer's probes fit
         one chunk).  The head runs once per probe (1320 in all), and per
-        model in the gradient pass, the state pass and the 2 batched passes
-        below it."""
+        model in the gradient pass and the state pass.  The layers below
+        the head run once per probe of their own (1152 in all), and per
+        model in those two passes and, the middle layer only, in the
+        stacked pass of the first layer's probes (that of the middle
+        layer's probes stops at the head)."""
         calls = Counter()
 
         def counting(module, name, key):
@@ -345,6 +349,7 @@ class TestResume:
         dense_fwd = m._dense_fwd
 
         def counting_heads(mean, cov, w, b, mode):
+            calls["dense kernel"] += 1
             # The head is the one dense layer with fewer outputs than inputs.
             calls["head kernel"] += w.shape[0] < w.shape[1]
             return dense_fwd(mean, cov, w, b, mode)
@@ -352,7 +357,8 @@ class TestResume:
         monkeypatch.setattr(m, "_dense_fwd", counting_heads)
         assert len(list(cli._check_gradients(0))) == 8
         assert calls == {"loss_and_gradients": 8, "objective": 8 + 24,
-                         "head kernel": 1320 + 8 * (1 + 1 + 2)}
+                         "head kernel": 1320 + 8 * 2,
+                         "dense kernel": 1320 + 1152 + 8 * (2 * 3 + 1)}
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     def test_non_finite_probe_names_its_parameter(self, monkeypatch, mode):
@@ -366,9 +372,10 @@ class TestResume:
         run_layers = net._run_layers
         probe_runs = []
 
-        def poisoning(*args, states=None, resume=None):
-            mean, cov = run_layers(*args, states=states, resume=resume)
-            if resume is not None and states is None:
+        def poisoning(*args, resume=None, stop=None, **kwargs):
+            mean, cov = run_layers(*args, resume=resume, stop=stop, **kwargs)
+            # A probe's run goes through the head; a chunk's stacked pass stops below it.
+            if resume is not None and stop is None:
                 probe_runs.append(resume[0])
                 # Layer 0 has 60 probes; layer 1's sixth moves W1[0, 2] by -h.
                 if len(probe_runs) == 60 + 6:
@@ -422,13 +429,16 @@ class TestResume:
             assert len(want[2]) == (want[0] if wrong else 0)
             for chunk in (cli.FD_CHUNK_ROWS, 7):
                 monkeypatch.setattr(cli, "FD_CHUNK_ROWS", chunk)
-                recorded, objective_rows, head_rows = [], [], []
+                recorded, stacked, objective_rows, head_rows = [], [], [], []
                 run_layers, dense_fwd = net._run_layers, m._dense_fwd
 
-                def recording(*args, states=None, **kwargs):
-                    out = run_layers(*args, states=states, **kwargs)
+                def recording(*args, states=None, stop=None, **kwargs):
+                    out = run_layers(*args, states=states, stop=stop, **kwargs)
                     if states is not None:
                         recorded.append((states, [(s[2].copy(), s[3].copy()) for s in states]))
+                    if stop is not None:
+                        assert stop == len(config.layers) - 1  # the head
+                        stacked.append(len(out[0]))
                     return out
 
                 def counting_heads(mean, cov, w, b, mode):
@@ -448,21 +458,23 @@ class TestResume:
                     for state, (mean, cov) in zip(states, copies):
                         np.testing.assert_array_equal(state[2], mean)
                         np.testing.assert_array_equal(state[3], cov)
-                states, batches = recorded[0][0], recorded[1:]
+                assert len(recorded) == 1
+                states = recorded[0][0]
                 assert len(states) == len(params.weights)
-                # One objective call per chunk of a layer's probes.
-                batch, per_chunk = len(x), max(1, chunk // len(x))
+                # One objective call per chunk of a layer's probes; a
+                # one-row batch's chunks are single probes.
+                batch = len(x)
+                per_chunk = max(1, chunk // batch) if batch > 1 else 1
                 chunks = [[min(per_chunk, probes - start) for start in range(0, probes, per_chunk)]
                           for probes in (2 * w.size + 2 * b.size
                                          for w, b in zip(params.weights, params.biases))]
                 gradient_pass = [] if wrong else [batch]
                 assert objective_rows == gradient_pass + [batch * k for c in chunks for k in c]
-                # The head once per probe, besides the gradient pass, the
-                # state pass and a batched pass per chunk below the head.
-                assert len(batches) == (0 if batch == 1 else sum(map(len, chunks[:-1])))
-                assert Counter(head_rows) == Counter(
-                    gradient_pass + [batch] * (1 + 2 * got[0])
-                    + [len(s[-1][2]) for s, _ in batches])
+                # One stacked pass per chunk below the head, up to the
+                # head's input; the head once per probe on its own rows,
+                # besides the gradient pass and the state pass.
+                assert stacked == [batch * k for c in chunks[:-1] for k in c]
+                assert head_rows == [batch] * (len(gradient_pass) + 1 + 2 * got[0])
         monkeypatch.undo()
 
     @staticmethod
