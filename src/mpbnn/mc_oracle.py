@@ -10,19 +10,19 @@ clips at zero.  Used as a test oracle only, never for inference.
 Stream order.  Draw k of unit j is entry (k, j) of
 `rng.standard_normal((samples, n))`, and a dropout or gate mask, drawn
 after all the normals, reads entry (k, j) of `rng.random((samples, n))`.
-Every random number comes from one block iterator, `_blocks`, which yields
-these streams in turn as (block, n) arrays of `_BLOCK` samples.
+Every random number comes from one block stream, `_blocks`, whose iterator
+yields these streams in turn as (block, n) arrays of `_BLOCK` samples.
 Consecutive blocks are the same stream as one call, so a seed gives the
 same sample in any blocking or draw layout.
 
 Helper thread.  While the caller consumes block k, `_blocks` draws block
 k+1 on a helper thread, with block k+2 queued behind it, each into its own
 buffer: numpy's generator fills run without the GIL.  The helper belongs
-to one call.  The call opens a one-thread executor in a `with` block;
-while its stream is open, only the helper touches the generator, and the
-`with` joins the helper before the call returns or raises.  No thread
-outlives a call.  A process that may run on one CPU draws inline instead
-(`_helper`).
+to one stream.  `_blocks` opens it as a one-thread executor when the
+caller enters the stream's `with` block (one per masked layer in
+`mc_network_moments`); while the stream is open, only the helper touches
+the generator, and leaving the `with` joins the helper, whether the call
+returns or raises.  No thread outlives a call.
 
 Streamed estimates.  Draws are unit-major, (n, block), so every per-unit
 broadcast runs along a contiguous row.  `mc_layer_moments` and
@@ -48,7 +48,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import itertools
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -100,53 +99,38 @@ def _check_samples(samples: int):
 
 
 @contextlib.contextmanager
-def _helper():
-    """The executor that draws one call's blocks: a one-thread pool, joined
-    on exit, or None in a process that may run on one CPU only, where a
-    helper could hide no draw and each handoff would cost a thread
-    switch."""
-    if hasattr(os, "sched_getaffinity"):
-        cpus = len(os.sched_getaffinity(0))
-    else:
-        cpus = os.cpu_count() or 1
-    if cpus > 1:
-        with ThreadPoolExecutor(1) as pool:
-            yield pool
-    else:
-        yield None
+def _blocks(fills, samples: int, n: int, given=()):
+    """The blocks of one stream, as an iterator for a `with` block: the
+    `given` blocks, then (block, n) arrays of `samples` rows from each fill
+    in turn (a bound `standard_normal` or `random` of one generator), in
+    stream order.  A yielded block stays valid until the next one is
+    requested.
 
-
-def _blocks(pool, fills, samples: int, n: int):
-    """(block, n) arrays of `samples` rows from each fill in turn (a bound
-    `standard_normal` or `random` of one generator), in stream order.  A
-    yielded block stays valid until the next one is requested.
-
-    With a `pool`, the first two blocks are submitted to it now, and each
-    later one when the caller takes the block two before it, so the helper
-    always has the next block queued.  Without one, each block is drawn
-    when requested, into one buffer."""
+    A one-thread executor draws the fills' blocks.  The first two are
+    submitted on entry, and each later one when the caller takes the block
+    two before it, so the helper always has the next block queued.  Exit
+    joins the helper."""
     jobs = [(fill, k) for fill in fills for k in range(0, samples, _BLOCK)]
-    if pool is None:
-        buf = np.empty((min(samples, _BLOCK), n))
-        return (fill(out=buf[:samples - k]) for fill, k in jobs)
     bufs = np.empty((3, min(samples, _BLOCK), n))
 
     def draw(i):
         fill, k = jobs[i]
         return fill(out=bufs[i % 3, :samples - k])
 
-    def blocks(pending):
+    def drawn(pool, pending):
         for i in range(len(jobs)):
             block = pending.popleft().result()
             if i + 2 < len(jobs):
                 pending.append(pool.submit(draw, i + 2))
             yield block
 
-    return blocks(collections.deque(pool.submit(draw, i) for i in range(min(2, len(jobs)))))
+    with ThreadPoolExecutor(1) as pool:
+        pending = collections.deque(pool.submit(draw, i) for i in range(min(2, len(jobs))))
+        yield itertools.chain(given, drawn(pool, pending))
 
 
-def _stream(pool, seed, samples: int, n: int, masked: bool):
-    """The blocks of one call: the normals, then with `masked` the mask
+def _stream(seed, samples: int, n: int, masked: bool):
+    """The `_blocks` of one call: the normals, then with `masked` the mask
     uniforms.  `seed` is a seed or the `Normals` it draws."""
     if isinstance(seed, Normals):
         if seed.z.shape != (samples, n):
@@ -154,10 +138,10 @@ def _stream(pool, seed, samples: int, n: int, masked: bool):
         rng = np.random.default_rng()  # its fresh state is replaced at once
         rng.bit_generator.state = seed.state
         given = (seed.z[k:k + _BLOCK] for k in range(0, samples, _BLOCK))
-        return itertools.chain(given, _blocks(pool, [rng.random] if masked else [], samples, n))
+        return _blocks([rng.random] if masked else [], samples, n, given)
     rng = np.random.default_rng(seed)
     fills = [rng.standard_normal, rng.random] if masked else [rng.standard_normal]
-    return _blocks(pool, fills, samples, n)
+    return _blocks(fills, samples, n)
 
 
 def draw_normals(samples: int, n: int, seed) -> Normals:
@@ -206,9 +190,8 @@ def sample_input(mv: MomentVector, samples: int, rng) -> np.ndarray:
     _check_samples(samples)
     affine = _affine(mv)
     draws = np.empty((mv.dim, samples))
-    with _helper() as pool:
-        for k, z in zip(range(0, samples, _BLOCK),
-                        _blocks(pool, [rng.standard_normal], samples, mv.dim)):
+    with _blocks([rng.standard_normal], samples, mv.dim) as blocks:
+        for k, z in zip(range(0, samples, _BLOCK), blocks):
             affine(z, draws[:, k:k + _BLOCK])
     return draws.T
 
@@ -323,8 +306,7 @@ def mc_layer_moments(
     affine = _affine(mv)
     n = mv.dim
     sums = _Sums(n if wb is None else len(wb[1]), samples)
-    with _helper() as pool:
-        blocks = _stream(pool, seed, samples, n, masked)
+    with _stream(seed, samples, n, masked) as blocks:
         if masked:
             # The uniforms follow all the normals: keep the input draws.
             draws = np.empty((n, samples))
@@ -353,8 +335,8 @@ def mc_expected_ll(head_mv: MomentVector, y: float, samples: int, seed):
     affine = _affine(head_mv)
     buf = np.empty((4, min(samples, _BLOCK)))
     sums = _Sums(1, samples)
-    with _helper() as pool:
-        for z in _stream(pool, seed, samples, 2, False):
+    with _stream(seed, samples, 2, False) as blocks:
+        for z in blocks:
             width = len(z)
             h1, h2 = affine(z, buf[:2, :width])
             vals, scale = buf[2, :width], buf[3, :width]
@@ -384,20 +366,19 @@ def mc_network_moments(config, params, x, samples: int, seed) -> McEstimate:
     mean = x[None].copy()
     cov = np.zeros_like(mean)  # per-unit variances, as in `forward_batch`
     dense_i = 0
-    with _helper() as pool:
-        for layer in config.layers:
-            wb = None
-            if layer.kind == DENSE:
-                wb = (params.weights[dense_i], params.biases[dense_i])
-                dense_i += 1
-            apply, masked = _sample_layer(layer, mean, cov, wb)
-            if masked:
-                uniforms = _blocks(pool, [rng.random], samples, len(draws))
+    for layer in config.layers:
+        wb = None
+        if layer.kind == DENSE:
+            wb = (params.weights[dense_i], params.biases[dense_i])
+            dense_i += 1
+        apply, masked = _sample_layer(layer, mean, cov, wb)
+        if masked:
+            with _blocks([rng.random], samples, len(draws)) as uniforms:
                 for k, u in zip(range(0, samples, _BLOCK), uniforms):
                     apply(draws[:, k:k + _BLOCK], u)
-            else:
-                draws = apply(draws, None)
-            mean, cov, _ = _FWD[layer.kind](layer, mean, cov, wb, mode)
+        else:
+            draws = apply(draws, None)
+        mean, cov, _ = _FWD[layer.kind](layer, mean, cov, wb, mode)
     sums = _Sums(len(draws), samples)
     sums.add(draws)
     return sums.estimate()

@@ -20,8 +20,9 @@ Finite differences are kept as a test oracle only (`cli.fd_check`); this
 module is the production gradient path.  `loss_and_gradients` runs a taped
 forward pass and the backward pass inside a pooled step (see `moments`).
 `loss` gives the same loss, bit for bit, from the forward pass alone: the
-whole-pass reference of the finite-difference tests.  Both take their input
-checks and head objective from one place (`_batch`, `_head_loss`).
+whole-pass reference of the finite-difference tests.  Both take their head
+objective from one place (`_head_loss`), and both, with `evaluate_model`,
+their input checks (`_batch`).
 
 `train` and `evaluate_model` run with BLAS pinned to one thread
 (`single_thread_blas`): through threadpoolctl when it is installed, else
@@ -300,14 +301,22 @@ def _forward_tape(config, params, xs):
     return mean, cov, tape
 
 
-def _batch(xs, ys):
-    """The batch as float arrays, checked: (B, Q) features, (B,) labels."""
+def _batch(config, xs, ys):
+    """The batch as float arrays, checked: finite (B, Q) features of the
+    model's input width Q, finite (B,) labels.  A rejection is a
+    ValueError, outside `DIVERGENCE_ERRORS`: bad input is not a diverging
+    run."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 2 or xs.shape[0] == 0:
-        raise ValueError("batch must be a non-empty (B, Q) array")
+    q = config.input_dim
+    if xs.ndim != 2 or xs.shape[0] == 0 or xs.shape[1] != q:
+        raise ValueError(f"batch must be a non-empty (B, {q}) array, got shape {xs.shape}")
     if ys.shape != (xs.shape[0],):
         raise ValueError(f"labels shape {ys.shape} does not match batch {xs.shape}")
+    if not moments._finite(xs):
+        raise ValueError("non-finite entries in batch features")
+    if not moments._finite(ys):
+        raise ValueError("non-finite entries in batch labels")
     return xs, ys
 
 
@@ -339,7 +348,7 @@ def _head_loss(config, mean, cov, ys, passes=1):
 def loss(config: ModelConfig, params: ParameterSet, xs, ys) -> float:
     """The loss of `loss_and_gradients`, bit for bit, from the forward pass
     alone: no tape, no backward pass and no pooled step."""
-    xs, ys = _batch(xs, ys)
+    xs, ys = _batch(config, xs, ys)
     mean, cov = _run_layers(config, params, xs)
     return float(_head_loss(config, mean, cov, ys)[0][0])
 
@@ -349,7 +358,7 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
 
     Returns (loss, GradientSet).
     """
-    xs, ys = _batch(xs, ys)
+    xs, ys = _batch(config, xs, ys)
     mode = config.covariance_mode
     batch = xs.shape[0]
 
@@ -429,9 +438,9 @@ def train(config: ModelConfig, train_config: TrainConfig, xs, ys, params=None):
 
 
 def evaluate_model(config: ModelConfig, params: ParameterSet, xs, ys):
-    """Mean predictive NLL and RMSE over a dataset (standardized space)."""
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
+    """Mean predictive NLL and RMSE over a dataset (standardized space),
+    checked as a batch (`_batch`)."""
+    xs, ys = _batch(config, xs, ys)
     with single_thread_blas():
         mean, cov = forward_batch(config, params, xs)
     pm, pv = objective._predictive_batch(mean, cov, config.head, config.covariance_mode)

@@ -1,6 +1,8 @@
 """The MC oracle itself: semantics, standard-error behavior, degeneracies."""
 
+import contextlib
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -286,15 +288,16 @@ class TestBlockIterator:
     and no thread outlives a call."""
 
     @staticmethod
-    def inline_blocks(pool, fills, samples, n):
-        """The reference: every block drawn in the caller, into one buffer."""
+    @contextlib.contextmanager
+    def inline_blocks(fills, samples, n, given=()):
+        """The reference: `given`, then every block drawn in the caller,
+        into one buffer."""
         buf = np.empty((min(samples, mc_oracle._BLOCK), n))
-        for fill in fills:
-            for k in range(0, samples, mc_oracle._BLOCK):
-                yield fill(out=buf[:samples - k])
+        drawn = (fill(out=buf[:samples - k])
+                 for fill in fills for k in range(0, samples, mc_oracle._BLOCK))
+        yield itertools.chain(given, drawn)
 
-    @pytest.mark.parametrize("inline", ["blocks", "one cpu"])
-    def test_estimates_bit_identical_when_drawn_inline(self, monkeypatch, inline):
+    def test_estimates_bit_identical_when_drawn_inline(self, monkeypatch):
         # Threads switched as often as the interpreter allows, so that a
         # block read while the helper writes it would show.
         interval = sys.getswitchinterval()
@@ -303,12 +306,7 @@ class TestBlockIterator:
             threaded = _all_estimates()
         finally:
             sys.setswitchinterval(interval)
-        if inline == "blocks":
-            monkeypatch.setattr(mc_oracle, "_blocks", self.inline_blocks)
-        else:  # a one-CPU process draws in the caller
-            monkeypatch.setattr(mc_oracle.os, "sched_getaffinity", lambda pid: {0})
-            with mc_oracle._helper() as pool:
-                assert pool is None
+        monkeypatch.setattr(mc_oracle, "_blocks", self.inline_blocks)
         for got, want in zip(_all_estimates(), threaded, strict=True):
             np.testing.assert_array_equal(got, want)
 
@@ -358,8 +356,9 @@ class TestBlockIterator:
         class Poisoned:
             """A generator whose third block fails, on whichever thread draws it."""
 
-            def __init__(self, seed):
+            def __init__(self, seed=None):
                 self.rng, self.fills = real(seed), 0
+                self.bit_generator = self.rng.bit_generator
 
             def fill(self, name, out):
                 self.fills += 1
@@ -378,6 +377,16 @@ class TestBlockIterator:
         for kind in cli.LAYER_KINDS:
             layer, mv, kw = _layer_case(kind, m.DIAG, 0, 3)
             calls.append(functools.partial(mc_layer_moments, layer, mv, 10**5, 0, **kw))
+        # Normals drawn before the poisoning: the uniforms come from the
+        # generator restored after them, drawn on the helper.
+        layer, mv, _ = _layer_case(DROPOUT, m.DIAG, 0, 3)
+        calls.append(functools.partial(mc_layer_moments, layer, mv, 10**5,
+                                       draw_normals(10**5, 3, 0)))
+        # One stream per masked layer, the first of them poisoned.
+        config = net.build_model(net.ARCH_RELU, 2, 3, 0.1, m.DIAG, net.HEAD_HETEROSCEDASTIC)
+        calls.append(functools.partial(mc_network_moments, config,
+                                       net.init_parameters(config, 0), np.array([0.5, -1.0]),
+                                       10**5, 0))
         monkeypatch.setattr(np.random, "default_rng", Poisoned)
         for call in calls:
             with pytest.raises(RuntimeError, match="poisoned block"):

@@ -113,6 +113,37 @@ class TestLossAndGradients:
                 config, params, rng.standard_normal((2, 2)), rng.standard_normal(2)
             )
 
+    def test_non_finite_dense_gradient_error_names_layer(self, monkeypatch):
+        config = net.build_mp_gelu_model(2, 3, 0.1, m.DIAG, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 0)
+        orig, calls = tr._dense_bwd, [0]
+
+        def poisoned(ctx, g_mean, g_cov, mode, input_grad=True):
+            g_mean_in, g_cov_in, g_w, g_b = orig(ctx, g_mean, g_cov, mode, input_grad)
+            calls[0] += 1
+            if calls[0] == 2:  # the middle dense layer, layer 3
+                g_w = np.full_like(g_w, np.nan)
+            return g_mean_in, g_cov_in, g_w, g_b
+
+        monkeypatch.setattr(tr, "_dense_bwd", poisoned)
+        rng = np.random.default_rng(0)
+        with pytest.raises(FloatingPointError) as info:
+            tr.loss_and_gradients(
+                config, params, rng.standard_normal((2, 2)), rng.standard_normal(2)
+            )
+        assert str(info.value) == "non-finite gradient in layer 3 (dense)"
+
+    def test_overflowing_mean_log_likelihood_is_hard_error(self):
+        """Each row's log-likelihood is finite (about -5e307 at E[h2] = -700
+        and a residual of 100), but the 4-row sum overflows."""
+        config = net.build_mp_gelu_model(2, 3, 0.1, m.DIAG, net.HEAD_HETEROSCEDASTIC)
+        mean = np.tile([100.0, -700.0], (4, 1))
+        cov = np.zeros((4, 2))
+        with np.errstate(over="ignore"):
+            with pytest.raises(FloatingPointError) as info:
+                tr._head_loss(config, mean, cov, np.zeros(4))
+        assert str(info.value) == "non-finite training loss"
+
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     def test_layer_tables_look_kernels_up_when_called(self, monkeypatch, mode):
         """Kernels rebound on their modules after import are the ones every
@@ -942,6 +973,51 @@ class TestTrainLoop:
         tc = tr.TrainConfig(0.05, 2, 5, 0)  # 13 = 5 + 5 + 3
         _, trace = tr.train(config, tc, ds.features, ds.labels)
         assert len(trace) == 2
+
+
+class TestBatchCheck:
+    """`loss`, `loss_and_gradients` (so `train`) and `evaluate_model` check
+    their batch in one place, `_batch`, and bad input is a ValueError, never
+    a divergence."""
+
+    CONFIG = net.build_mp_gelu_model(3, 5, 0.1, m.DIAG, net.HEAD_HETEROSCEDASTIC)
+
+    @staticmethod
+    def _bad(kind):
+        rng = np.random.default_rng(2)
+        xs, ys = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        if kind == "width":
+            return xs[:, :2], ys, r"batch must be a non-empty \(B, 3\) array, got shape \(4, 2\)"
+        if kind == "nan features":
+            xs[1, 2] = np.nan
+            return xs, ys, "non-finite entries in batch features"
+        if kind == "inf features":
+            xs[0, 0] = np.inf
+            return xs, ys, "non-finite entries in batch features"
+        if kind == "nan labels":
+            ys[3] = np.nan
+            return xs, ys, "non-finite entries in batch labels"
+        if kind == "inf labels":
+            ys[0] = -np.inf
+            return xs, ys, "non-finite entries in batch labels"
+        return xs, ys[:, None], r"labels shape \(4, 1\) does not match batch \(4, 3\)"
+
+    KINDS = ["width", "nan features", "inf features", "nan labels", "inf labels", "column labels"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("call", ["loss", "loss_and_gradients", "train", "evaluate_model"])
+    def test_bad_batch_is_an_input_error(self, call, kind):
+        xs, ys, message = self._bad(kind)
+        params = net.init_parameters(self.CONFIG, 0)
+        run = {
+            "loss": lambda: tr.loss(self.CONFIG, params, xs, ys),
+            "loss_and_gradients": lambda: tr.loss_and_gradients(self.CONFIG, params, xs, ys),
+            "train": lambda: tr.train(self.CONFIG, tr.TrainConfig(0.1, 1, 4, 0), xs, ys),
+            "evaluate_model": lambda: tr.evaluate_model(self.CONFIG, params, xs, ys),
+        }[call]
+        with pytest.raises(ValueError, match=f"^{message}$") as info:
+            run()
+        assert not isinstance(info.value, tr.DIVERGENCE_ERRORS)
 
 
 class TestEvaluateModel:
