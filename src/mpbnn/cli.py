@@ -21,6 +21,7 @@ import contextlib
 import dataclasses
 import json
 import os
+import resource
 import sys
 import time
 from dataclasses import dataclass, field
@@ -131,7 +132,8 @@ def cmd_toy(out_dir, seed: int = 0, epochs: int = TOY_DEFAULTS["epochs"],
         params, _ = training.train(config, tc, ds.features, ds.labels)
         with training.single_thread_blas():
             mean, cov = network.forward_batch(config, params, grid[:, None])
-        pred_mean, pred_var = objective._predictive_batch(mean, cov, config.head, FULL)
+        pred_mean, pred_var = objective._predictive_batch(mean, cov.diagonal(0, 1, 2),
+                                                          config.head)
         epi_std = np.sqrt(cov[:, 0, 0])
         alea_std = np.sqrt(np.exp(mean[:, 1] + 0.5 * cov[:, 1, 1]))
         rows = list(zip(grid, pred_mean, np.sqrt(pred_var), epi_std, alea_std))
@@ -276,8 +278,10 @@ def cmd_benchmark(widths=BENCH_WIDTHS, mode: str = FULL, repetitions: int = 50,
     """Time matched single-example forward passes; count erf/exp/sqrt calls.
 
     Returns one row per width: median ns/pass for both architectures, the
-    speedup relu/mp_gelu, per-pass transcendental counters, and whether BLAS
-    was pinned to one thread while timing (see `training.blas_pinned`)."""
+    speedup relu/mp_gelu, per-pass transcendental counters, whether BLAS
+    was pinned to one thread while timing (see `training.blas_pinned`), and
+    the mean minor page faults per timed pass of each architecture (read by
+    `getrusage` around each pass, outside its timed interval)."""
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     if not widths:
@@ -302,11 +306,14 @@ def cmd_benchmark(widths=BENCH_WIDTHS, mode: str = FULL, repetitions: int = 50,
                 counts_by_arch[arch] = moments.counters.snapshot()
             # interleave timed passes so drift hits both architectures alike
             times = {arch: [] for arch in built}
+            faults = dict.fromkeys(built, 0)
             for _ in range(repetitions):
                 for arch, (config, params) in built.items():
+                    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
                     t0 = time.perf_counter_ns()
                     network.forward(config, params, x)
                     times[arch].append(time.perf_counter_ns() - t0)
+                    faults[arch] += resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
             mp_ns = float(np.median(times[ARCH_MP_GELU]))
             relu_ns = float(np.median(times[ARCH_RELU]))
             mp_counts = counts_by_arch[ARCH_MP_GELU]
@@ -325,6 +332,8 @@ def cmd_benchmark(widths=BENCH_WIDTHS, mode: str = FULL, repetitions: int = 50,
                     "relu_exp": relu_counts["exp"],
                     "relu_sqrt": relu_counts["sqrt"],
                     "blas_pinned": pinned,
+                    "mp_gelu_minflt": faults[ARCH_MP_GELU] / repetitions,
+                    "relu_minflt": faults[ARCH_RELU] / repetitions,
                 }
             )
     if out_path:
@@ -494,7 +503,7 @@ def _probe_heads(config, params, x, states, li, probes):
     axis, with the bits of one pass per probe: those layers work row by
     row, and the gates' batch-wide guards give the same bits on the other
     units either way.  The head runs on each probe's rows: a one-output
-    head's product is a matrix-vector call, rounded by where a row sits."""
+    head's product rounds by where a row sits."""
     layer_i, _, mean, cov = states[li]
     layer, mode = config.layers[layer_i], config.covariance_mode
     wb, outs = (params.weights[li], params.biases[li]), []
@@ -535,8 +544,9 @@ def _probe_losses(config, params, x, y, states, li):
     +FD_STEP and then by -FD_STEP, as (array name, index, step), with the
     loss under each: the probes' head moments (`_probe_heads`) are scored
     FD_CHUNK_ROWS rows at a time (`_chunk_losses`).  A one-row batch's
-    chunks are single probes: its dense products are matrix-vector calls,
-    which round otherwise than a product over several probes' rows."""
+    chunks are single probes: a one-row pass takes one 2-D GEMM per dense
+    product (see `moments`), which rounds otherwise than the batched
+    products over several probes' rows."""
     probes = [(name, idx, step) for name in ("weights", "biases")
               for idx in np.ndindex(getattr(params, name)[li].shape)
               for step in (FD_STEP, -FD_STEP)]

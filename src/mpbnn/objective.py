@@ -133,10 +133,9 @@ def _predictive_var(s11, m2, s22, head):
     return s11 + VARIANCE_FLOOR
 
 
-def _predictive_batch(mean, cov, head, mode):
-    """Batched moment-matched predictive (means, variances) from the
-    (B, h) means and (B, h, h) or (B, h) covariances of `forward_batch`."""
-    var = cov.diagonal(0, 1, 2) if mode == FULL else cov
+def _predictive_batch(mean, var, head):
+    """Batched moment-matched predictive (means, variances) from the (B, h)
+    means and per-unit variances of a batch of heads."""
     return mean[:, 0], np.maximum(_predictive_var(var[:, 0], mean[:, -1], var[:, -1], head),
                                   VARIANCE_FLOOR)
 

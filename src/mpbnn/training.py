@@ -51,7 +51,6 @@ from .network import (
     ModelConfig,
     ParameterSet,
     _run_layers,
-    forward_batch,
     init_parameters,
 )
 
@@ -439,11 +438,11 @@ def train(config: ModelConfig, train_config: TrainConfig, xs, ys, params=None):
 
 def evaluate_model(config: ModelConfig, params: ParameterSet, xs, ys):
     """Mean predictive NLL and RMSE over a dataset (standardized space),
-    checked as a batch (`_batch`)."""
+    checked as a batch (`_batch`), so the pass runs the layers directly."""
     xs, ys = _batch(config, xs, ys)
     with single_thread_blas():
-        mean, cov = forward_batch(config, params, xs)
-    pm, pv = objective._predictive_batch(mean, cov, config.head, config.covariance_mode)
+        mean, cov = _run_layers(config, params, xs)
+    pm, pv = objective._predictive_batch(mean, moments._variances(cov), config.head)
     return {
         "nll": float(np.mean(objective._gaussian_nll(pm, pv, ys))),
         "rmse": objective.rmse(pm, ys),

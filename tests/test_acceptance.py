@@ -108,7 +108,7 @@ class TestCriterion4Toy:
             smooth = np.convolve(trace, np.ones(50) / 50.0, mode="valid")
             loss_down = smooth[-1] < smooth[0]
             mean, cov = net.forward_batch(config, params, grid[:, None])
-            _, pred_var = obj._predictive_batch(mean, cov, config.head, m.FULL)
+            _, pred_var = obj._predictive_batch(mean, cov.diagonal(0, 1, 2), config.head)
             pred_std = np.sqrt(pred_var)
             epistemic_ok = pred_std[outer].mean() > pred_std[inner].mean()
             alea = np.sqrt(np.exp(mean[:, 1] + 0.5 * cov[:, 1, 1]))

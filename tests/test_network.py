@@ -1,5 +1,6 @@
 """Model assembly: architecture fidelity, initialization, forward pass, persistence."""
 
+import re
 from unittest import mock
 
 import numpy as np
@@ -230,14 +231,16 @@ class TestForward:
     @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     def test_forward_is_row_zero_of_a_batch_of_one(self, arch, mode):
-        """One path: `forward` is `forward_batch` on its vector, bit for bit."""
-        config = net.build_model(arch, 13, 20, 0.05, mode, net.HEAD_HETEROSCEDASTIC)
-        params = net.init_parameters(config, 6)
-        for x in np.random.default_rng(3).standard_normal((4, 13)):
-            mv = net.forward(config, params, x)
-            means, covs = net.forward_batch(config, params, x[None])
-            np.testing.assert_array_equal(mv.mean, means[0])
-            np.testing.assert_array_equal(mv.cov, covs[0])
+        """One path: `forward` is `forward_batch` on its vector, bit for bit,
+        at widths 20 and 64 (see `TestOneRowPass`)."""
+        for width in (20, 64):
+            config = net.build_model(arch, 13, width, 0.05, mode, net.HEAD_HETEROSCEDASTIC)
+            params = net.init_parameters(config, 6)
+            for x in np.random.default_rng(3).standard_normal((4, 13)):
+                mv = net.forward(config, params, x)
+                means, covs = net.forward_batch(config, params, x[None])
+                assert mv.mean.tobytes() == means[0].tobytes()
+                assert mv.cov.tobytes() == covs[0].tobytes()
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     def test_weight_edited_in_place_reaches_the_next_pass(self, mode):
@@ -282,6 +285,84 @@ class TestForward:
         assert np.all(
             np.abs(np.asarray(mv.cov) - est.cov) <= 4 * est.standard_error_cov
         )
+
+
+class TestOneRowPass:
+    """A one-row batch takes its own dense products: one 2-D GEMM each for
+    W Σ and (W Σ) Wᵀ where a batch of B > 1 rows takes a flat GEMM and m
+    GEMMs over the batch axis (see `moments`).  So it rounds differently
+    from a row of a larger batch, within 1e-12 relative (the worst seen
+    over 20 seeds was 1.6e-14), and raises what a larger batch raises.
+    `TestForward::test_forward_is_row_zero_of_a_batch_of_one` holds
+    `forward` to a batch of one, bit for bit."""
+
+    WIDTHS = pytest.mark.parametrize("width", [20, 64])
+    ARCHS = pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    MODES = pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+
+    @staticmethod
+    def model(arch, mode, width):
+        config = net.build_model(arch, 13, width, 0.05, mode, net.HEAD_HETEROSCEDASTIC)
+        return config, net.init_parameters(config, 8)
+
+    @staticmethod
+    def raised(fn, *args):
+        with pytest.raises((m.MomentError, FloatingPointError)) as info:
+            fn(*args)
+        return type(info.value), str(info.value)
+
+    @WIDTHS
+    @ARCHS
+    @MODES
+    def test_forward_within_1e_12_of_its_row_in_a_batch(self, mode, arch, width):
+        """Relative to the largest entry of the row's mean or covariance."""
+        config, params = self.model(arch, mode, width)
+        xs = np.random.default_rng(width).standard_normal((3, 13))
+        means, covs = net.forward_batch(config, params, xs)
+        for x, mean, cov in zip(xs, means, covs):
+            mv = net.forward(config, params, x)
+            for got, want in ((mv.mean, mean), (mv.cov, cov)):
+                assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+    @WIDTHS
+    @ARCHS
+    @MODES
+    def test_nan_weight_raises_the_same_at_one_and_three_rows(self, mode, arch, width):
+        """A NaN weight in any dense layer below the head makes every head
+        moment NaN, so the objective's message names the same row and
+        values at either batch size."""
+        config, params = self.model(arch, mode, width)
+        x = np.random.default_rng(width).standard_normal((1, 13))
+        for layer in range(len(params.weights) - 1):
+            bad = params.copy()
+            bad.weights[layer][0, 0] = np.nan
+            one = self.raised(tr.loss, config, bad, x, [0.5])
+            three = self.raised(tr.loss, config, bad, np.repeat(x, 3, axis=0), [0.5] * 3)
+            assert one == three
+            assert one[1].startswith("non-finite expected log-likelihood at row 0 (m1=nan")
+
+    @WIDTHS
+    @ARCHS
+    @MODES
+    def test_negative_variance_at_the_dense_clamp_raises_the_same(self, mode, arch, width):
+        """The second dense layer resumed from a negative-definite input
+        covariance, -Σ/4 with Σ the identity, on one row and on three copies
+        of it."""
+        config, params = self.model(arch, mode, width)
+        x = np.random.default_rng(width).standard_normal((1, 13))
+        states = []
+        net._run_layers(config, params, x, states=states)
+        layer_i, dense_i, mean, _ = states[1]
+        messages = []
+        for rows in (1, 3):
+            cov = (np.broadcast_to(-0.25 * np.eye(width)[..., None], (width, width, rows))
+                   if mode == m.FULL else np.full((rows, width), -0.25))
+            resume = (layer_i, dense_i, np.repeat(mean, rows, axis=0), np.ascontiguousarray(cov))
+            messages.append(self.raised(net._run_layers, config, params, x, None, None, resume))
+        assert messages[0] == messages[1]
+        assert messages[0][0] is m.MomentError
+        assert re.fullmatch(r"negative variance -\d\.\d{3}e[+-]\d\d in dense_propagate",
+                            messages[0][1])
 
 
 class TestPersistence:

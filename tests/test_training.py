@@ -2,6 +2,7 @@
 
 import contextlib
 import functools
+import itertools
 import json
 import os
 import subprocess
@@ -535,6 +536,21 @@ def symmetric_like(rng, cov):
     return s + s.transpose(1, 0, 2) if cov.ndim == 3 else s
 
 
+# Batch sizes of the adjoint checks: a one-row batch takes its own branches
+# in the dense kernel and the gain map (see `moments`).
+ROWS = (1, 4)
+
+
+def strided_copy(a):
+    """A copy of `a` that is not C-contiguous, and whose (n, n) matrices
+    are not either: the leading columns of a wider array.  An adjoint
+    that writes its result through a flattening reshape of such a g_cov
+    writes to a copy, and loses the writes."""
+    wide = np.zeros((a.shape[0], a.shape[1] + 1) + a.shape[2:])
+    wide[:, :-1] = a
+    return wide[:, :-1]
+
+
 class TestGuardedPaths:
     """A batch with no unit below SIGMA_FLOOR runs the gates' plain formulas
     and carries det=None; one such unit anywhere sends the whole batch
@@ -614,7 +630,9 @@ class TestAdjointDotProduct:
     backward kernel within 1e-6 relative.  At |μ/σ| = 0.7 every rate
     derivative counts; at 5, 10 and 30 the gate rates lie within 1e-6 of 0
     or 1.  The kernels flatten there, so the step grows with |μ/σ| to keep
-    the difference above its rounding noise."""
+    the difference above its rounding noise.  Every check runs on batches of
+    `ROWS` rows, so the one-row branches meet their adjoints too, and hands
+    the adjoint a g_cov that is not C-contiguous (`strided_copy`)."""
 
     @pytest.mark.parametrize("ratio, step", [(0.7, 1e-6), (5.0, 1e-5), (10.0, 1e-4),
                                              (30.0, 1e-4)])
@@ -622,8 +640,8 @@ class TestAdjointDotProduct:
     @pytest.mark.parametrize("kind", [net.MP_GELU, net.RELU])
     def test_backward_is_the_forward_transpose(self, kind, mode, ratio, step):
         fwd, bwd = getattr(m, f"_{kind}_fwd"), getattr(tr, f"_{kind}_bwd")
-        rows, n = 4, 5
-        for seed in range(5):
+        n = 5
+        for rows, seed in itertools.product(ROWS, range(5)):
             rng = np.random.default_rng(seed)
             sigma = rng.uniform(0.5, 1.5, (rows, n))
             mean = ratio * sigma * rng.choice((-1.0, 1.0), (rows, n))
@@ -635,10 +653,10 @@ class TestAdjointDotProduct:
             g_jv = sum(np.vdot(g, (p - q) / (2.0 * step))
                        for g, p, q in zip((g_mean, g_cov), plus, minus))
             # The backward kernel overwrites g_cov, so it gets a copy.
-            g_mean_in, g_cov_in = bwd(fwd(mean, cov, mode)[2], g_mean.copy(), g_cov.copy(),
-                                      mode)
+            g_mean_in, g_cov_in = bwd(fwd(mean, cov, mode)[2], g_mean.copy(),
+                                      strided_copy(g_cov), mode)
             jtg_v = np.vdot(g_mean_in, v_mean) + np.vdot(g_cov_in, v_cov)
-            assert abs(g_jv - jtg_v) <= 1e-6 * abs(jtg_v), (seed, g_jv, jtg_v)
+            assert abs(g_jv - jtg_v) <= 1e-6 * abs(jtg_v), (rows, seed, g_jv, jtg_v)
 
     @pytest.mark.parametrize("factor, det", [(0.5, True), (2.0, False)])
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
@@ -656,8 +674,8 @@ class TestAdjointDotProduct:
         step 1e-6 the worst relative error over 30 seeds was 1.3e-8, against
         the tolerance of 1e-6."""
         fwd, bwd = getattr(m, f"_{kind}_fwd"), getattr(tr, f"_{kind}_bwd")
-        step, rows, n = 1e-6, 4, 5
-        for seed in range(5):
+        step, n = 1e-6, 5
+        for rows, seed in itertools.product(ROWS, range(5)):
             rng = np.random.default_rng(seed)
             sigma = rng.uniform(0.5, 1.5, (rows, n))
             sigma[:, :2] = factor * m.SIGMA_FLOOR
@@ -676,9 +694,9 @@ class TestAdjointDotProduct:
                        for g, p, q in zip((g_mean, g_cov), plus, minus))
             ctx = fwd(mean, cov, mode)[2]
             assert (ctx[-1 if kind == net.MP_GELU else 4] is not None) == det
-            g_mean_in, g_cov_in = bwd(ctx, g_mean.copy(), g_cov.copy(), mode)
+            g_mean_in, g_cov_in = bwd(ctx, g_mean.copy(), strided_copy(g_cov), mode)
             jtg_v = np.vdot(g_mean_in, v_mean) + np.vdot(g_cov_in, v_cov)
-            assert abs(g_jv - jtg_v) <= 1e-6 * abs(jtg_v), (seed, g_jv, jtg_v)
+            assert abs(g_jv - jtg_v) <= 1e-6 * abs(jtg_v), (rows, seed, g_jv, jtg_v)
 
     @staticmethod
     def direction(rng, a):
@@ -699,8 +717,8 @@ class TestAdjointDotProduct:
         b together.  W Σ Wᵀ is cubic in them, so the central difference is
         off by O(step²); at step 1e-5 the worst relative error over 30
         seeds was 4.0e-9, against a tolerance of 1e-7."""
-        step, rows = 1e-5, 4
-        for seed in range(10):
+        step = 1e-5
+        for rows, seed in itertools.product(ROWS, range(10)):
             rng = np.random.default_rng(seed)
             sigma = rng.uniform(0.5, 1.5, (rows, n_in))
             mean = rng.standard_normal((rows, n_in))
@@ -716,12 +734,12 @@ class TestAdjointDotProduct:
             plus = m._dense_fwd(*(a + step * d for a, d in zip(point, v)), mode)
             minus = m._dense_fwd(*(a - step * d for a, d in zip(point, v)), mode)
             g_jv = sum(np.vdot(gi, (p - q) / (2.0 * step)) for gi, p, q in zip(g, plus, minus))
-            adjoints = tr._dense_bwd(ctx, g[0], g[1].copy(), mode, input_grad=input_grad)
+            adjoints = tr._dense_bwd(ctx, g[0], strided_copy(g[1]), mode, input_grad=input_grad)
             if not input_grad:
                 assert adjoints[:2] == (None, None)
                 adjoints, v = adjoints[2:], v[2:]
             jtg_v = sum(np.vdot(a, d) for a, d in zip(adjoints, v))
-            assert abs(g_jv - jtg_v) <= 1e-7 * abs(jtg_v), (seed, g_jv, jtg_v)
+            assert abs(g_jv - jtg_v) <= 1e-7 * abs(jtg_v), (rows, seed, g_jv, jtg_v)
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
     def test_dropout_backward_is_the_forward_transpose(self, mode):
@@ -729,8 +747,8 @@ class TestAdjointDotProduct:
         a central difference at step 1e-5 is exact but for rounding: the
         worst relative error over 30 seeds was 1.9e-10, against a tolerance
         of 1e-7."""
-        step, rows, n = 1e-5, 4, 5
-        for seed in range(10):
+        step, n = 1e-5, 5
+        for rows, seed in itertools.product(ROWS, range(10)):
             rng = np.random.default_rng(seed)
             sigma = rng.uniform(0.5, 1.5, (rows, n))
             mean, cov = rng.standard_normal((rows, n)), gate_input_cov(rng, sigma, mode)
@@ -741,9 +759,9 @@ class TestAdjointDotProduct:
             g_jv = sum(np.vdot(g, (p - q) / (2.0 * step))
                        for g, p, q in zip((g_mean, g_cov), plus, minus))
             ctx = m._dropout_fwd(mean, cov, 0.3, mode)[2]
-            g_mean_in, g_cov_in = tr._dropout_bwd(ctx, g_mean.copy(), g_cov.copy(), mode)
+            g_mean_in, g_cov_in = tr._dropout_bwd(ctx, g_mean.copy(), strided_copy(g_cov), mode)
             jtg_v = np.vdot(g_mean_in, v_mean) + np.vdot(g_cov_in, v_cov)
-            assert abs(g_jv - jtg_v) <= 1e-7 * abs(jtg_v), (seed, g_jv, jtg_v)
+            assert abs(g_jv - jtg_v) <= 1e-7 * abs(jtg_v), (rows, seed, g_jv, jtg_v)
 
 
 class TestStepBufferPool:
@@ -1034,7 +1052,7 @@ class TestEvaluateModel:
 
     def test_forward_pass_runs_with_blas_pinned(self, monkeypatch):
         pinned, inside = [False], []
-        orig_pin, orig_forward = tr.single_thread_blas, tr.forward_batch
+        orig_pin, orig_run = tr.single_thread_blas, tr._run_layers
 
         @contextlib.contextmanager
         def recording_pin():
@@ -1045,12 +1063,12 @@ class TestEvaluateModel:
                 finally:
                     pinned[0] = False
 
-        def recording_forward(*args):
+        def recording_run(*args):
             inside.append(pinned[0])
-            return orig_forward(*args)
+            return orig_run(*args)
 
         monkeypatch.setattr(tr, "single_thread_blas", recording_pin)
-        monkeypatch.setattr(tr, "forward_batch", recording_forward)
+        monkeypatch.setattr(tr, "_run_layers", recording_run)
         config = net.build_mp_gelu_model(2, 5, 0.1)
         rng = np.random.default_rng(8)
         tr.evaluate_model(config, net.init_parameters(config, 0),
