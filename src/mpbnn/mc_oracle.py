@@ -39,7 +39,7 @@ same running sums.
 Shared normals.  `draw_normals(samples, n, seed)` draws a seed's normals
 once and keeps the generator state after them.  `mc_layer_moments` takes
 that `Normals` object in place of the seed and gives the bits of the seed,
-so calls with one seed can share one draw.  `cli.layer_oracle` does so:
+so calls with one seed can share one draw.  `checks.layer_oracle` does so:
 the calls of one case that share a seed share its normals.
 """
 
@@ -250,40 +250,49 @@ class _Sums:
         return McEstimate(self.shift[:, 0] + m, cov, se_mean, se_cov, s)
 
 
-def _sample_layer(layer: LayerSpec, mean, cov, wb):
-    """One layer's map of unit-major (n, width) draws, and whether it reads
-    mask uniforms.  The map takes the draws and, for a dropout or gate
-    layer, a (width, n) block of uniforms, and works in place where the
-    shapes allow.  `mean` and `cov`, the analytic moments of the layer's
-    input as a batch of one, give the gated activation's rates; `wb` is a
-    dense layer's (weights, bias)."""
-    if layer.kind == DENSE:
-        w, b = wb
+def _dense_map(w, b):
+    def dense(x, u):
+        out = w @ x
+        out += b[:, None]
+        return out
 
-        def dense(x, u):
-            out = w @ x
-            out += b[:, None]
-            return out
+    return dense, False
 
-        return dense, False
-    if layer.kind == RELU:
-        return lambda x, u: np.maximum(x, 0.0, out=x), False
-    if layer.kind == DROPOUT:
-        keep = 1.0 - layer.rate
-    elif layer.kind == MP_GELU:
-        rates, _, _, _ = _gate_rates(mean, cov, "mc oracle")
-        keep = (1.0 - rates[0])[:, None]
-    else:
-        raise ValueError(f"unknown layer kind {layer.kind!r}")
+
+def _mask_map(keep, n: int):
+    """A dropout or gate layer's map: a draw of unit j is kept where its
+    uniform is below `keep` (or keep[j])."""
     # A C-ordered mask: one from `u.T` alone would be F-ordered, and
     # multiplying the C-ordered draws by it would read it across its rows.
-    mask = np.empty((mean.shape[1], _BLOCK), bool)
+    mask = np.empty((n, _BLOCK), bool)
 
     def masked(x, u):
         keeps = np.less(u.T, keep, out=mask[:, :x.shape[1]])
         return np.multiply(x, keeps, out=x)
 
     return masked, True
+
+
+# Sampling rule per layer kind, looked up when called (see `network._FWD`):
+# (layer, mean, cov, (w, b) or None) -> (map, whether it reads mask uniforms).
+# The map takes unit-major (n, width) draws and, for a masking layer, a
+# (width, n) block of uniforms, and works in place where the shapes allow.
+# `mean` and `cov`, the input's analytic moments as a batch of one, give
+# the gated activation's rates.
+_SAMPLE = {
+    DENSE: lambda layer, mean, cov, wb: _dense_map(*wb),
+    DROPOUT: lambda layer, mean, cov, wb: _mask_map(1.0 - layer.rate, mean.shape[1]),
+    MP_GELU: lambda layer, mean, cov, wb: _mask_map(
+        (1.0 - _gate_rates(mean, cov, "mc oracle")[0][0])[:, None], mean.shape[1]),
+    RELU: lambda layer, mean, cov, wb: (lambda x, u: np.maximum(x, 0.0, out=x), False),
+}
+
+
+def _sample_layer(layer: LayerSpec, mean, cov, wb):
+    """The layer's `_SAMPLE` rule applied; a kind without one is an error."""
+    if layer.kind not in _SAMPLE:
+        raise ValueError(f"unknown layer kind {layer.kind!r}")
+    return _SAMPLE[layer.kind](layer, mean, cov, wb)
 
 
 def mc_layer_moments(

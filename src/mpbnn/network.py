@@ -12,12 +12,11 @@ dense layer:
 The output head, the last layer, is a dense layer of either two units
 (predictive mean plus log-variance) or one unit (mean only).
 
-A layer kind is stated in five places: its forward kernel in `moments` and
-backward kernel in `training`, its `_FWD` entry below and its `_BWD` entry in
-`training` (dense, the one kind with parameters, is the backward loop's own
-branch), and its branch of `mc_oracle._sample_layer`.  `LayerSpec` accepts
-exactly the kinds `_FWD` knows, and `mpbnn check` oracle-checks each of them
-(`cli.LAYER_KINDS`).
+A layer kind is two kernels, forward in `moments` and backward in
+`training`, plus one entry in each of `_FWD` below, `training._BWD` (dense,
+the one kind with parameters, is the backward loop's own branch) and
+`mc_oracle._SAMPLE`.  `LayerSpec` accepts exactly the kinds `_FWD` knows,
+and `checks.layer_oracle` oracle-checks each kind `_FWD` holds when it runs.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ the input and their derivative terms are zero (the rectifier-limit
 subgradient convention).  A context's `det` is None when no unit is below
 the floor (see `moments`); the adjoints then skip the masks.
 
-Finite differences are kept as a test oracle only (`cli.fd_check`); this
+Finite differences are kept as a test oracle only (`checks.fd_check`); this
 module is the production gradient path.  `loss_and_gradients` runs a taped
 forward pass and the backward pass inside a pooled step (see `moments`).
 `loss` gives the same loss, bit for bit, from the forward pass alone: the

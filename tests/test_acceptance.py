@@ -12,7 +12,7 @@ import os
 import numpy as np
 import pytest
 
-from mpbnn import cli, data
+from mpbnn import checks, cli, data
 from mpbnn import moments as m
 from mpbnn import network as net
 from mpbnn import objective as obj
@@ -45,7 +45,7 @@ class TestCriterion1MomentOracle:
         4 se on every mean and covariance entry; full-mode rectifier
         off-diagonals additionally accept 15% of the entry scale sigma_i
         sigma_j (the documented first-order approximation)."""
-        results = cli.layer_oracle(
+        results = checks.layer_oracle(
             100, 10**5, 99, lambda k, case: data.derived_seed(99, k, case)
         )
         worst = max(run_worst for run_worst, _ in results.values())
@@ -64,7 +64,7 @@ class TestCriterion2Gradients:
         |gradient| < 1e-3, on width-20 nets for every arch/mode/head."""
         violations = []
         checked = 0
-        for arch, mode, head, coordinates, _, bad in cli.gradient_fd(42, 6, 20, 0.1, 6):
+        for arch, mode, head, coordinates, _, bad in checks.gradient_fd(42, 6, 20, 0.1, 6):
             checked += coordinates
             violations += [(arch, mode, head, *v) for v in bad]
         ok = not violations
@@ -78,7 +78,7 @@ class TestCriterion3ExpectedLl:
         """Confirms the log-variance-mean reading of the objective: the
         closed form must track E[log N(y|h1, e^{h2})] within 4 se at 1e6
         samples on 1000 random heads."""
-        worst, failures = cli.objective_oracle(
+        worst, failures = checks.objective_oracle(
             1000, 10**6, np.random.default_rng(11), lambda case: data.derived_seed(11, case),
             var_cap=1.2,
         )

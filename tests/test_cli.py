@@ -9,9 +9,10 @@ from concurrent.futures import ProcessPoolExecutor
 import numpy as np
 import pytest
 
-from mpbnn import cli, data, training
+from mpbnn import checks, cli, data, training
 from mpbnn import moments as m
 from mpbnn import mc_oracle
+from mpbnn import network as net
 
 
 def synth_dataset(n=90, q=2, seed=5, noise=0.3):
@@ -379,8 +380,9 @@ class TestCheckCommand:
             recorded.append(samples)
             return real(layer, mv, samples, seed, **kw)
 
-        monkeypatch.setattr(cli.mc_oracle, "mc_layer_moments", recording)
-        list(cli._check_layer_oracle(10**4, 1, 0))
+        monkeypatch.setattr(mc_oracle, "mc_layer_moments", recording)
+        monkeypatch.setattr(checks, "check_gradients", lambda seed: [])
+        checks.run_self_checks("quick", 0)
         assert set(recorded) == {10**4}
 
     @pytest.mark.parametrize("seeds, draws_per_case", [
@@ -402,39 +404,46 @@ class TestCheckCommand:
             return real(samples, n, seed)
 
         monkeypatch.setattr(mc_oracle, "draw_normals", counting)
-        shared = cli.layer_oracle(3, 2000, 5, mc_seed)
+        shared = checks.layer_oracle(3, 2000, 5, mc_seed)
         assert len(drawn) == 3 * draws_per_case
         # Handing each call its int seed draws the normals once per call.
         monkeypatch.setattr(mc_oracle, "draw_normals", lambda samples, n, seed: seed)
-        assert shared == cli.layer_oracle(3, 2000, 5, mc_seed)
+        assert shared == checks.layer_oracle(3, 2000, 5, mc_seed)
         assert list(shared) == [(kind, mode) for mode in (m.FULL, m.DIAG)
-                                for kind in cli.LAYER_KINDS]
+                                for kind in net._FWD]
 
     def test_check_runs_the_shared_layer_oracle(self, monkeypatch, capsys):
-        """`mpbnn check` reaches `cli.layer_oracle`, the checker criterion 1
+        """`mpbnn check` reaches `checks.layer_oracle`, the checker criterion 1
         runs, with each case's seed derived from the check's seed alone."""
         calls = []
-        real = cli.layer_oracle
+        real = checks.layer_oracle
 
         def recording(cases, samples, seed, mc_seed):
             calls.append((cases, samples, seed, [mc_seed(k, 1) for k in range(4)]))
             return real(cases, samples, seed, mc_seed)
 
-        monkeypatch.setattr(cli, "layer_oracle", recording)
-        monkeypatch.setattr(cli, "_check_objective_oracle", lambda samples, cases, seed: [])
-        monkeypatch.setattr(cli, "_check_gradients", lambda seed: [])
+        monkeypatch.setattr(checks, "layer_oracle", recording)
+        monkeypatch.setattr(checks, "objective_oracle", lambda *args: (0.0, []))
+        monkeypatch.setattr(checks, "check_gradients", lambda seed: [])
         assert cli.cmd_check("quick", 3) == 0
         assert calls == [(3, 10**4, 3, [data.derived_seed(3, 1)] * 4)]
-        assert "8/8 checks passed" in capsys.readouterr().out
+        assert "9/9 checks passed" in capsys.readouterr().out
 
-    def test_layer_oracle_lines_pinned(self):
+    @staticmethod
+    def check_lines(monkeypatch, capsys, seed, section):
+        """The lines of one oracle section that `mpbnn check --level quick
+        --seed <seed>` prints."""
+        monkeypatch.setattr(checks, "check_gradients", lambda seed: [])
+        cli.cmd_check("quick", seed)
+        return [l for l in capsys.readouterr().out.splitlines() if f" {section} " in l]
+
+    def test_layer_oracle_lines_pinned(self, monkeypatch, capsys):
         """Quick-level oracle lines of four seeds, with the known 4-se false
         alarms of seeds 9, 13 and 21 (see `run_self_checks`): a change to a
         bound, a seed derivation or a layer rule moves them."""
 
         def lines(seed):
-            return [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
-                    for name, ok, detail in cli._check_layer_oracle(10**4, 3, seed)]
+            return self.check_lines(monkeypatch, capsys, seed, "moment_oracle")
 
         assert lines(0) == [
             "PASS moment_oracle dense full: worst dev 1.798 se",
@@ -453,11 +462,21 @@ class TestCheckCommand:
             assert len(got) == 8
             assert [l for l in got if l.startswith("FAIL")] == [f"FAIL moment_oracle {fail}"]
 
+    def test_objective_lines_pinned(self, monkeypatch, capsys):
+        """Quick-level objective lines of seed 0 and of seed 8, whose known
+        4-se false alarm (see `run_self_checks`) is the objective's: a
+        change to the bound, the seed derivation or the objective moves
+        them."""
+        assert self.check_lines(monkeypatch, capsys, 0, "objective_oracle") == [
+            "PASS objective_oracle eq_ll: worst dev 1.302 se"]
+        assert self.check_lines(monkeypatch, capsys, 8, "objective_oracle") == [
+            "FAIL objective_oracle eq_ll: worst dev 4.263 se"]
+
     def test_gradient_lines_pinned(self):
         """Seed 0's finite-difference lines: a change to the probe loss, the
         analytic gradients or the tolerances moves them."""
         got = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}"
-               for name, ok, detail in cli._check_gradients(0)]
+               for name, ok, detail in checks.check_gradients(0)]
         assert got == [
             "PASS gradient_fd mp_gelu full heteroscedastic2: worst rel 1.82e-08",
             "PASS gradient_fd mp_gelu full homoscedastic1: worst rel 1.16e-07",
@@ -471,7 +490,7 @@ class TestCheckCommand:
 
     def test_unknown_level_rejected(self):
         with pytest.raises(ValueError):
-            cli.run_self_checks("bogus")
+            checks.run_self_checks("bogus")
 
 
 class TestMainWiring:
@@ -498,6 +517,23 @@ class TestMainWiring:
         assert line.startswith("synth mp_gelu full head=heteroscedastic2 rate=0.01: NLL ")
         tag = "synth_mp_gelu_full_heteroscedastic2"
         assert sorted(p.name for p in out.iterdir()) == [f"uci_{tag}.csv", f"uci_{tag}.json"]
+
+    def test_uci_jobs_default_to_the_usable_cpus(self, tmp_path, monkeypatch):
+        """Without `--jobs`, `uci` runs one worker per CPU of the process's
+        affinity mask, not per CPU of the machine."""
+        received = []
+
+        def recording(*args, **protocol):
+            received.append(protocol["jobs"])
+            return cli.ExperimentResult("synth", 90, 2, "relu", m.FULL, "heteroscedastic2",
+                                        0.01, 0, [1.0], [1.0], 1.0, True)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(cli, "cmd_uci", recording)
+        assert cli.main(["uci", "--manifest", "manifest.json", "--dataset", "synth",
+                         "--arch", "relu", "--out", str(tmp_path)]) == 0
+        assert received == [1]
 
     def test_config_file_supplies_defaults_cli_overrides(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -13,7 +13,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from mpbnn import cli, mc_oracle
+from mpbnn import checks, mc_oracle
 from mpbnn import moments as m
 from mpbnn import network as net
 from mpbnn.mc_oracle import (
@@ -192,9 +192,9 @@ class TestExpectedLlOracle:
 
 
 def _layer_case(kind, mode, seed, n):
-    """A `cli._random_case` input and the `mc_layer_moments` arguments for it."""
+    """A `checks.random_case` input and the `mc_layer_moments` arguments for it."""
     rng = np.random.default_rng(seed)
-    mv = cli._random_case(n, mode, rng)
+    mv = checks.random_case(n, mode, rng)
     kw = {}
     if kind == DENSE:
         kw = {"weights": rng.standard_normal((2, n)), "bias": rng.standard_normal(2)}
@@ -220,15 +220,15 @@ class TestInPlace:
     }
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
-    @pytest.mark.parametrize("kind", cli.LAYER_KINDS)
+    @pytest.mark.parametrize("kind", tuple(net._FWD))
     def test_estimates_pinned(self, kind, mode):
-        layer, mv, kw = _layer_case(kind, mode, (5, cli.LAYER_KINDS.index(kind)), 3)
+        layer, mv, kw = _layer_case(kind, mode, (5, list(net._FWD).index(kind)), 3)
         est = mc_layer_moments(layer, mv, 10**4, 11, **kw)
         got = (est.mean[0], est.cov[0, -1], est.standard_error_cov[-1, -1])
         np.testing.assert_allclose(got, self.PINNED[kind, mode], rtol=1e-12)
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
-    @pytest.mark.parametrize("kind", cli.LAYER_KINDS)
+    @pytest.mark.parametrize("kind", tuple(net._FWD))
     def test_layer_call_allocates_no_extra_draw_matrix(self, kind, mode):
         samples, n = 10**5, 4
         layer, mv, kw = _layer_case(kind, mode, 0, n)
@@ -268,8 +268,8 @@ def _all_estimates(samples=3 * mc_oracle._BLOCK + 100):
     whole network."""
     out = []
     for mode in (m.FULL, m.DIAG):
-        for kind in cli.LAYER_KINDS:
-            layer, mv, kw = _layer_case(kind, mode, (7, cli.LAYER_KINDS.index(kind)), 3)
+        for kind in net._FWD:
+            layer, mv, kw = _layer_case(kind, mode, (7, list(net._FWD).index(kind)), 3)
             est = mc_layer_moments(layer, mv, samples, 3, **kw)
             out += [est.mean, est.cov, est.standard_error_mean, est.standard_error_cov]
     head = m.MomentVector(np.array([0.3, -0.2]), np.array([[0.5, 0.1], [0.1, 0.3]]), m.FULL)
@@ -311,10 +311,10 @@ class TestBlockIterator:
             np.testing.assert_array_equal(got, want)
 
     @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
-    @pytest.mark.parametrize("kind", cli.LAYER_KINDS)
+    @pytest.mark.parametrize("kind", tuple(net._FWD))
     def test_shared_normals_give_the_bits_of_the_seed(self, kind, mode):
         samples = 2 * mc_oracle._BLOCK + 7
-        layer, mv, kw = _layer_case(kind, mode, (8, cli.LAYER_KINDS.index(kind)), 3)
+        layer, mv, kw = _layer_case(kind, mode, (8, list(net._FWD).index(kind)), 3)
         normals = draw_normals(samples, mv.dim, 12)
         for _ in range(2):  # a call leaves the shared draw as it was
             got = mc_layer_moments(layer, mv, samples, normals, **kw)
@@ -374,7 +374,7 @@ class TestBlockIterator:
 
         head = m.MomentVector(np.zeros(2), np.ones(2), m.DIAG)
         calls = [functools.partial(mc_expected_ll, head, 0.0, 10**5, 0)]
-        for kind in cli.LAYER_KINDS:
+        for kind in net._FWD:
             layer, mv, kw = _layer_case(kind, m.DIAG, 0, 3)
             calls.append(functools.partial(mc_layer_moments, layer, mv, 10**5, 0, **kw))
         # Normals drawn before the poisoning: the uniforms come from the
@@ -401,15 +401,15 @@ def test_estimates_do_not_depend_on_blas_threads():
     code = (
         "import hashlib, json\n"
         "import numpy as np\n"
-        "from mpbnn import cli, mc_oracle, moments as m, training as tr\n"
-        "from mpbnn.network import LayerSpec\n"
+        "from mpbnn import checks, mc_oracle, moments as m, training as tr\n"
+        "from mpbnn.network import _FWD, LayerSpec\n"
         "libs = tr._openblas_threads()\n"
         "def digest():\n"
         "    h = hashlib.sha256()\n"
         "    for mode in (m.FULL, m.DIAG):\n"
-        "        for i, kind in enumerate(cli.LAYER_KINDS):\n"
+        "        for i, kind in enumerate(_FWD):\n"
         "            rng = np.random.default_rng((i, 3))\n"
-        "            mv = cli._random_case(4, mode, rng)\n"
+        "            mv = checks.random_case(4, mode, rng)\n"
         "            kw = {'weights': rng.standard_normal((3, 4)),\n"
         "                  'bias': rng.standard_normal(3)} if kind == 'dense' else {}\n"
         "            layer = LayerSpec(kind, in_dim=4, out_dim=3, rate=0.13)\n"

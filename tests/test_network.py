@@ -8,10 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mpbnn import checks, mc_oracle
 from mpbnn import moments as m
 from mpbnn import network as net
 from mpbnn import training as tr
-from mpbnn.mc_oracle import mc_network_moments
+from mpbnn.mc_oracle import mc_layer_moments, mc_network_moments
 
 
 class TestBuilders:
@@ -363,6 +364,102 @@ class TestOneRowPass:
         assert messages[0][0] is m.MomentError
         assert re.fullmatch(r"negative variance -\d\.\d{3}e[+-]\d\d in dense_propagate",
                             messages[0][1])
+
+
+SCALE, SCALE_FACTOR = "scale", -1.5
+
+
+@pytest.fixture
+def scale_kind(monkeypatch):
+    """A test-only layer kind x -> a x, whose moments are exact and trivial:
+    mean a μ, covariance a² Σ in every layout, adjoint (a g_μ, a² g_Σ) and
+    draws a x.  It is registered in the three tables, and nowhere else."""
+    a = SCALE_FACTOR
+    monkeypatch.setitem(net._FWD, SCALE,
+                        lambda layer, mean, cov, wb, mode: (a * mean, a * a * cov, None))
+    monkeypatch.setitem(tr._BWD, SCALE,
+                        lambda ctx, g_mean, g_cov, mode: (a * g_mean, a * a * g_cov))
+    monkeypatch.setitem(mc_oracle._SAMPLE, SCALE, lambda layer, mean, cov, wb: (
+        lambda x, u: np.multiply(x, a, out=x), False))
+
+
+class TestNewLayerKind:
+    """A new layer kind is its two kernels plus one entry in each of
+    `network._FWD`, `training._BWD` and `mc_oracle._SAMPLE`: so registered,
+    a kind placed after the first dense layer runs through the forward
+    pass, the gradients and their finite-difference check, the MC oracle
+    and `checks.layer_oracle`."""
+
+    @staticmethod
+    def model(mode, scaled=True):
+        """A gated model with the scale layer after its first dense layer
+        and nonzero biases; without `scaled`, the same model with the scale
+        folded into the first dense layer's parameters instead."""
+        layers = [net.dropout(0.15), net.dense(3, 6), net.LayerSpec(SCALE),
+                  net.LayerSpec(net.MP_GELU), net.dense(6, 2)]
+        params = net.init_parameters(net.ModelConfig(layers, mode, net.HEAD_HETEROSCEDASTIC), 5)
+        params.biases[0][:] = np.linspace(-0.5, 0.5, 6)
+        if not scaled:
+            del layers[2]
+            params.weights[0] *= SCALE_FACTOR
+            params.biases[0] *= SCALE_FACTOR
+        return net.ModelConfig(layers, mode, net.HEAD_HETEROSCEDASTIC), params
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_forward_is_the_folded_model(self, scale_kind, mode):
+        x = np.array([0.8, -0.4, 1.3])
+        got = net.forward(*self.model(mode), x)
+        want = net.forward(*self.model(mode, scaled=False), x)
+        np.testing.assert_allclose(got.mean, want.mean, rtol=1e-12)
+        np.testing.assert_allclose(np.asarray(got.cov), np.asarray(want.cov), rtol=1e-12)
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_gradients_pass_fd_check(self, scale_kind, mode):
+        rng = np.random.default_rng(2)
+        x, y = rng.standard_normal((4, 3)), rng.standard_normal(4)
+        coordinates, _, violations = checks.fd_check(*self.model(mode), x, y)
+        assert coordinates == 6 * 3 + 6 + 2 * 6 + 2
+        assert violations == []
+
+    @pytest.mark.parametrize("mode", [m.FULL, m.DIAG])
+    def test_layer_moments_match_the_oracle(self, scale_kind, mode):
+        a = SCALE_FACTOR
+        mv = checks.random_case(4, mode, np.random.default_rng(6))
+        est = mc_layer_moments(net.LayerSpec(SCALE), mv, 10**5, 3)
+        assert np.all(np.abs(a * mv.mean - est.mean) <= 4 * est.standard_error_mean)
+        if mode == m.FULL:
+            assert np.all(np.abs(a * a * np.asarray(mv.cov) - est.cov)
+                          <= 4 * est.standard_error_cov)
+        else:
+            assert np.all(np.abs(a * a * mv.variances - np.diag(est.cov))
+                          <= 4 * np.diagonal(est.standard_error_cov))
+
+    def test_kind_without_a_sampling_rule_is_named(self, scale_kind, monkeypatch):
+        monkeypatch.delitem(mc_oracle._SAMPLE, SCALE)
+        mv = checks.random_case(4, m.DIAG, np.random.default_rng(6))
+        with pytest.raises(ValueError, match="^unknown layer kind 'scale'$"):
+            mc_layer_moments(net.LayerSpec(SCALE), mv, 1000, 3)
+
+    def test_network_moments_match_the_oracle(self, scale_kind):
+        """Full mode, where the gated model's moment algebra is exact."""
+        config, params = self.model(m.FULL)
+        x = np.array([0.8, -0.4, 1.3])
+        mv = net.forward(config, params, x)
+        est = mc_network_moments(config, params, x, 10**5, seed=17)
+        assert np.all(np.abs(mv.mean - est.mean) <= 4 * est.standard_error_mean)
+        assert np.all(np.abs(np.asarray(mv.cov) - est.cov) <= 4 * est.standard_error_cov)
+
+    def test_layer_oracle_checks_it(self, scale_kind):
+        """`checks.layer_oracle` reads the kinds when it runs: the scale
+        kind is checked in both modes, and the other kinds' results are
+        those of a run without it."""
+        mc_seed = lambda k, case: case  # noqa: E731
+        results = checks.layer_oracle(2, 2000, 0, mc_seed)
+        assert results[SCALE, m.FULL][1] == results[SCALE, m.DIAG][1] == []
+        with mock.patch.dict(net._FWD):
+            del net._FWD[SCALE]
+            without = checks.layer_oracle(2, 2000, 0, mc_seed)
+        assert {key: r for key, r in results.items() if key[0] != SCALE} == without
 
 
 class TestPersistence:

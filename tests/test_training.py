@@ -13,7 +13,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from mpbnn import cli
+from mpbnn import checks
 from mpbnn import moments as m
 from mpbnn import network as net
 from mpbnn import training as tr
@@ -25,7 +25,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def assert_grads_match_fd(config, params, x, y):
-    _, _, violations = cli.fd_check(config, params, x, y)
+    _, _, violations = checks.fd_check(config, params, x, y)
     assert not violations, violations[:5]
 
 
@@ -158,7 +158,7 @@ class TestLossAndGradients:
             return wrapper
 
         for module, suffix in ((m, "fwd"), (tr, "bwd")):
-            for kind in cli.LAYER_KINDS:
+            for kind in net._FWD:
                 name = f"_{kind}_{suffix}"
                 monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
         rng = np.random.default_rng(3)
@@ -182,8 +182,8 @@ class TestLossAndGradients:
                 assert calls == Counter(want), arch
         # 2 cases of each kind in each of the 2 modes.
         calls.clear()
-        cli.layer_oracle(2, 1000, 0, lambda k, case: case)
-        assert calls == Counter({f"_{kind}_fwd": 4 for kind in cli.LAYER_KINDS})
+        checks.layer_oracle(2, 1000, 0, lambda k, case: case)
+        assert calls == Counter({f"_{kind}_fwd": 4 for kind in net._FWD})
 
 
 class TestLoss:
@@ -333,7 +333,7 @@ class TestResume:
         bit for bit: the worst seen was 3.6e-10, in 5 of 4732 coordinates.
         One ulp of a unit loss is 1.1e-11 after division by 2 FD_STEP."""
         compared = []
-        fd_check = cli.fd_check
+        fd_check = checks.fd_check
 
         def ones(config, params, x, y):
             return 0.0, tr.GradientSet([np.ones_like(w) for w in params.weights],
@@ -350,8 +350,8 @@ class TestResume:
             return got
 
         monkeypatch.setattr(tr, "loss_and_gradients", ones)
-        monkeypatch.setattr(cli, "fd_check", comparing)
-        list(cli.gradient_fd(42, 6, 20, 0.1, 6))
+        monkeypatch.setattr(checks, "fd_check", comparing)
+        list(checks.gradient_fd(42, 6, 20, 0.1, 6))
         assert len(compared) == 8
 
     def test_gradient_sweep_call_counts(self, monkeypatch):
@@ -387,7 +387,7 @@ class TestResume:
             return dense_fwd(mean, cov, w, b, mode)
 
         monkeypatch.setattr(m, "_dense_fwd", counting_heads)
-        assert len(list(cli._check_gradients(0))) == 8
+        assert len(list(checks.check_gradients(0))) == 8
         assert calls == {"loss_and_gradients": 8, "objective": 8 + 24,
                          "head kernel": 1320 + 8 * 2,
                          "dense kernel": 1320 + 1152 + 8 * (2 * 3 + 1)}
@@ -417,7 +417,7 @@ class TestResume:
 
         monkeypatch.setattr(net, "_run_layers", poisoning)
         with pytest.raises(FloatingPointError) as raised:
-            cli.fd_check(config, params, x, y)
+            checks.fd_check(config, params, x, y)
         message = str(raised.value)
         assert message.startswith("non-finite expected log-likelihood at row 1 (m1=inf, ")
         assert message.endswith("; dense layer 1, weights[0, 2] moved by -1e-05")
@@ -426,7 +426,7 @@ class TestResume:
 
     @staticmethod
     def whole_pass_fd_check(config, params, x, y):
-        """`cli.fd_check` as one whole `tr.loss` pass per probe."""
+        """`checks.fd_check` as one whole `tr.loss` pass per probe."""
         _, grads = tr.loss_and_gradients(config, params, x, y)
         coordinates, worst, violations = 0, 0.0, []
         for name in ("weights", "biases"):
@@ -459,8 +459,8 @@ class TestResume:
                 monkeypatch.setattr(tr, "loss_and_gradients", lambda *args: (0.0, ones))
             want = self.whole_pass_fd_check(config, params, x, y)
             assert len(want[2]) == (want[0] if wrong else 0)
-            for chunk in (cli.FD_CHUNK_ROWS, 7):
-                monkeypatch.setattr(cli, "FD_CHUNK_ROWS", chunk)
+            for chunk in (checks.FD_CHUNK_ROWS, 7):
+                monkeypatch.setattr(checks, "FD_CHUNK_ROWS", chunk)
                 recorded, stacked, objective_rows, head_rows = [], [], [], []
                 run_layers, dense_fwd = net._run_layers, m._dense_fwd
 
@@ -484,7 +484,7 @@ class TestResume:
                     for name in ("_ell2_fwd", "_ell1_fwd"):
                         mp.setattr(tr.objective, name, functools.partial(
                             self.counting_objective, getattr(tr.objective, name), objective_rows))
-                    got = cli.fd_check(config, params, x, y)
+                    got = checks.fd_check(config, params, x, y)
                 assert repr(got) == repr(want)
                 for states, copies in recorded:
                     for state, (mean, cov) in zip(states, copies):
