@@ -22,17 +22,17 @@ array.  Then W Σ is one flat GEMM over (n, n·B), (W Σ) Wᵀ is a matmul over
 a leading axis of length m, and the gain scaling runs with B as the
 contiguous inner axis.  One row (B = 1) is the exception: there that
 matmul would be m matrix-vector calls, so W Σ and (W Σ) Wᵀ are one 2-D
-GEMM each, on (m, n) and (m, m) views of the (·, ·, 1) arrays, the gain
-map works on the (n, n) view, and `_variances` copies the one-row
-diagonal.  So a one-row batch rounds as one 2-D GEMM, not as a row of a
-larger batch (within about 1e-14 relative of it); every B > 1 batch keeps
-the batched products and their bits.
+GEMM each, on (m, n) and (m, m) views of the (·, ·, 1) arrays, and the
+gain map works on the (n, n) view.  So a one-row batch rounds as one 2-D
+GEMM, not as a row of a larger batch (within about 1e-14 relative of it);
+every B > 1 batch keeps the batched products and their bits.
 
 Dropout, the gate and the rectifier are gain layers: gain_i gain_j Σ_ij
 off the diagonal, their own variances on it.  They read their input
-variances with `_variances` (`_diag`'s (B, n) view in full mode) and
-return their covariance through `_gained`, the only places that look at
-the layout, so their per-unit formulas are the same in both modes.
+variances with `_variances` (a contiguous (B, n) copy of the diagonal in
+full mode, whatever B) and return their covariance through `_gained`, the
+only places that look at the layout, so their per-unit formulas are the
+same in both modes.
 `_stack_rows` and `_rows` join and slice kernel arrays along the batch
 axis.  `forward_batch` and the public operations keep the (B, n, n) and
 (n, n) layouts of their callers.
@@ -47,10 +47,18 @@ nothing.  The pool keeps flat buffers by the shape's leading axes and
 lends the contiguous prefix of one that is at least as long, reshaped: a
 batch-last array stays C-contiguous whatever its B, so the kernels' flat
 reshapes stay views.  Every lent buffer returns to the pool when the step
-closes, and `_release` returns one earlier once nothing reads it any more.
-The kernels release nothing; `network._run_layers` alone decides when a
-layer's input is no longer read.  The pool holds, for the life of its
-thread, about the memory of the largest step that thread ran.
+closes at the latest; inside a full-mode step each goes back at its last
+read, by `_release`, so a later array of its shape reuses it: a dense
+layer's input once the layer has run and a gate's input once its adjoint
+has (`network._run_layers`, `training.loss_and_gradients`), and inside
+the dense adjoint W Σ once g_W is formed and the incoming adjoint once H
+is (`training._dense_bwd`).  A dropout's input goes back as the layer
+begins, by `_pass_on`, for the layer's output to take over.  The forward
+kernels release nothing; their callers decide when an input is no longer
+read.  The variances `_variances` copies stay valid after their
+covariance goes back.  The pool holds, for the life of its thread, about
+the memory of the largest step that thread ran: a width-20 step of either
+architecture leaves four (20, 20, B) buffers in it.
 
 Guard rule: the gate and the rectifier read their inputs through
 `_gate_input`, which decides both the clamp of the variances and whether
@@ -351,6 +359,16 @@ def _empty(shape) -> np.ndarray:
 def _release(arr: np.ndarray) -> None:
     """Return the buffer behind `arr` before the step closes; nothing reads
     `arr` afterwards.  A no-op for memory the step did not lend."""
+    _pass_on(arr)
+
+
+def _pass_on(arr: np.ndarray) -> None:
+    """Put the buffer behind `arr` on top of its spare list, so that the next
+    `_empty` of its leading shape lends it again: the layer about to read
+    `arr` (a full-mode dropout) takes it for its output and writes that over
+    `arr`, element for element.  Unlike `_release`, `arr` is still read
+    afterwards, by that one layer.  A no-op for memory the step did not
+    lend."""
     lent = _pool.lent
     if lent is not None:
         entry = lent.pop(id(arr.base), None)
@@ -401,12 +419,13 @@ def _dense_fwd(mean, cov, w, b, mode):
 
 def _variances(cov) -> np.ndarray:
     """The (B, n) per-unit variances of a kernel covariance in either layout:
-    a view, but a copy for one batch-last row, whose (1, n) diagonal view
-    ufuncs walk at about half the speed of a contiguous row."""
+    a diag-mode covariance itself, or a contiguous copy of a batch-last
+    diagonal, whose strided (B, n) view ufuncs walk at about half the speed
+    of a contiguous array.  The copy also outlives the covariance's buffer
+    (see the buffer rule)."""
     if cov.ndim != 3:
         return cov
-    var = _diag(cov)
-    return var.copy() if len(var) == 1 else var
+    return _diag(cov).copy()
 
 
 def _stack_rows(arrays) -> np.ndarray:

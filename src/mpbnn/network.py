@@ -209,14 +209,15 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     `tape` list, every layer from the first dense layer up appends
     (layer index, kind, index of the latest dense layer, ctx) for the
     backward pass; layers below it have no parameters and nothing above
-    depends on their adjoints.  Also only then, the input covariance of
-    every dense and dropout layer goes back to the step's buffer pool once
-    the layer has run: a dropout context keeps none of it, and a full-mode
-    dense context keeps the (m, n, B) W Σ of its forward pass instead (see
-    `training`), while a gate context keeps its input covariance.  This is
-    the one place a buffer goes back before the step closes.  (Diag-mode
-    arrays are not pooled, so the release is a no-op there.)  A full-mode
-    covariance comes back batch-last (see `moments`).
+    depends on their adjoints.  Also only then, and only in full mode (diag
+    arrays are not pooled), each layer's input covariance goes back to the
+    step's buffer pool at its last read (see `moments`): a dense layer's once
+    the layer has run, since its context keeps the (m, n, B) W Σ of its
+    forward pass instead (see `training`), and a dropout's before it runs,
+    for its output to take over (`moments._pass_on`), since its context
+    keeps none.  A gate's context keeps its input covariance, which goes
+    back once its adjoint has run.  So no context may keep its own output
+    covariance.  A full-mode covariance comes back batch-last.
 
     With a `states` list, the pass appends (layer index, dense index, mean,
     cov) before each dense layer, and from `resume`, one such state, it
@@ -226,6 +227,7 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
     The pass returns the input of layer index `stop` (None: the output).
     """
     mode = config.covariance_mode
+    pooled = tape is not None and mode == FULL
     first, dense_i, mean, cov = resume or (0, 0, xs, np.zeros(xs.shape))
     for layer_i, layer in enumerate(config.layers[first:stop], first):
         kind = layer.kind
@@ -235,10 +237,12 @@ def _run_layers(config: ModelConfig, params: ParameterSet, xs: np.ndarray, tape=
                 states.append((layer_i, dense_i, mean, cov))
             wb = (params.weights[dense_i], params.biases[dense_i])
             dense_i += 1
+        elif pooled and kind == DROPOUT:
+            moments._pass_on(cov)
         cov_in = cov
         mean, cov, ctx = _FWD[kind](layer, mean, cov, wb, mode)
         if tape is not None:
-            if kind in (DENSE, DROPOUT):
+            if pooled and kind == DENSE:
                 moments._release(cov_in)
             if dense_i:
                 tape.append((layer_i, kind, dense_i - 1, ctx))

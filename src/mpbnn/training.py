@@ -185,6 +185,9 @@ class GradientSet:
 # of (m, B)(B, n).  Batch-last, H is matmul(Wᵀ, g) over g's leading axis,
 # m GEMMs of (n, m)(m, B) into an (m, n, B) array, and g_Σ is a flat GEMM
 # over (·, n·B); both are formed only when the input adjoints are wanted.
+# Each pooled array goes back to the step's pool at its last read (see
+# `moments`): W Σ once g_W is formed, the incoming g once H is, so that H
+# and g_Σ take their buffers.
 # ---------------------------------------------------------------------------
 
 
@@ -204,11 +207,13 @@ def _dense_bwd(ctx, g_mean, g_cov, mode, input_grad=True):
         return g_mean @ w, g_cov @ (w * w), g_w, g_b
     # cov is W Σ, (m, n, B): Σ_b g_b (W Σ)_b as m GEMMs, summed.
     g_w += 2.0 * np.matmul(g_cov.transpose(1, 0, 2), cov.transpose(0, 2, 1)).sum(axis=0)
+    moments._release(cov)
     if not input_grad:
         return None, None, g_w, g_b
     m, n = w.shape
     batch = g_mean.shape[0]
     h = np.matmul(w.T, g_cov, out=moments._empty((m, n, batch)))
+    moments._release(g_cov)
     g_cov_in = moments._empty((n, n, batch))
     np.dot(w.T, h.reshape(m, n * batch), out=g_cov_in.reshape(n, n * batch))
     return g_mean @ w, g_cov_in, g_w, g_b
@@ -293,6 +298,16 @@ _BWD = {
 }
 
 
+def _release_context(ctx) -> None:
+    """Return the pooled arrays of a layer's context to the step's pool once
+    the layer's adjoint has run: nothing reads them afterwards.  A context
+    may be a tuple or list (its own arrays go back), one array, or anything
+    else, such as None (nothing goes back)."""
+    for arr in ctx if isinstance(ctx, (tuple, list)) else (ctx,):
+        if isinstance(arr, np.ndarray):
+            moments._release(arr)
+
+
 def _forward_tape(config, params, xs):
     """Batched forward pass recording per-layer backward contexts."""
     tape = []
@@ -371,6 +386,7 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
         g_mean, g_cov = head_bwd(octx, np.full(batch, -1.0 / batch))
 
         grads = GradientSet([None] * len(params.weights), [None] * len(params.biases))
+        full = mode == FULL
         for layer_i, kind, dense_i, ctx in reversed(tape):
             if kind == DENSE:
                 g_mean, g_cov, g_w, g_b = _dense_bwd(
@@ -378,13 +394,15 @@ def loss_and_gradients(config: ModelConfig, params: ParameterSet, xs, ys):
                 )
                 grads.weights[dense_i] = g_w
                 grads.biases[dense_i] = g_b
-                if not (np.isfinite(g_w).all() and np.isfinite(g_b).all()):
+                if not (moments._finite(g_w) and moments._finite(g_b)):
                     raise FloatingPointError(f"non-finite gradient in layer {layer_i} (dense)")
                 if dense_i == 0:  # the tape starts here; no input adjoints
                     break
             else:
                 g_mean, g_cov = _BWD[kind](ctx, g_mean, g_cov, mode)
-            if not np.isfinite(g_mean).all():
+                if full:
+                    _release_context(ctx)
+            if not moments._finite(g_mean):
                 raise FloatingPointError(f"non-finite gradient in layer {layer_i} ({kind})")
     finally:
         moments._close_step()

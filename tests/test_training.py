@@ -858,61 +858,157 @@ class TestStepBufferPool:
         for got, want in zip((fb_cov, mv.mean, mv.cov), kept):
             np.testing.assert_array_equal(got, want)
 
-    @pytest.mark.parametrize("arch, pooled", [(net.ARCH_MP_GELU, 2), (net.ARCH_RELU, 4)])
-    def test_taped_pass_releases_each_dense_and_dropout_input_once(self, monkeypatch, arch,
-                                                                   pooled):
-        """In a taped full-mode pass `_run_layers` hands the input covariance
-        of every dense and dropout layer to `_release` once, after the layer
-        ran, and each pooled one goes back to the pool then.  No gate's input
-        covariance, which its context keeps, goes back, and every dense
-        context keeps its (m, n, B) W Σ instead of its input."""
+    def test_poisoned_releases_leave_every_step_bitwise_equal(self, monkeypatch):
+        """Every buffer handed to `_release` is NaN-filled as it goes back, so
+        an array read after its release poisons the step.  Two consecutive
+        steps, the second lending what the first poisoned, equal the
+        unpooled reference bit for bit in every configuration."""
+        rng = np.random.default_rng(4)
+        x, y = rng.standard_normal((256, 5)), rng.standard_normal(256)
+        cases = [(arch, mode, head, width, batch)
+                 for arch in (net.ARCH_MP_GELU, net.ARCH_RELU) for mode in m.MODES
+                 for head in (net.HEAD_HETEROSCEDASTIC, net.HEAD_HOMOSCEDASTIC)
+                 for width in (20, 64) for batch in (2, 3, 256)]
+        models = {}
+        for arch, mode, head, width, _ in cases:
+            config = net.build_model(arch, 5, width, 0.1, mode, head)
+            models[arch, mode, head, width] = (config, net.init_parameters(config, 2))
+        with monkeypatch.context() as patch:
+            patch.setattr(m, "_release", lambda arr: None)
+            ref = {case: self._unpooled(*models[case[:4]], x[:case[4]], y[:case[4]])
+                   for case in cases}
+        release = m._release
+        poisoned = []
+
+        def poisoning(arr):
+            entry = m._pool.lent.get(id(arr.base))
+            if entry is not None:
+                entry[1].fill(np.nan)
+                poisoned.append(entry[1].size)
+            release(arr)
+
+        monkeypatch.setattr(m, "_release", poisoning)
+        for case in cases:
+            ref_loss, ref_grads = ref[case]
+            for _ in range(2):
+                loss, grads = tr.loss_and_gradients(*models[case[:4]], x[:case[4]],
+                                                    y[:case[4]])
+                assert loss == ref_loss, case
+                for got, want in zip(grads.weights + grads.biases,
+                                     ref_grads.weights + ref_grads.biases):
+                    np.testing.assert_array_equal(got, want, err_msg=str(case))
+        assert poisoned
+
+    @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    def test_taped_step_returns_each_buffer_at_its_last_read(self, monkeypatch, arch):
+        """In a taped full-mode step each pooled covariance goes back at its
+        last read: a dense layer's input once the layer has run, a dropout's
+        input as its own output's buffer, and a gate's input, which its
+        context keeps, only once the gate's adjoint has run.  Every dense
+        context keeps its (m, n, B) W Σ instead of its input.  A diag-mode
+        step returns nothing early."""
         batch = 7
         config = net.build_model(arch, 3, 5, 0.2, m.FULL, net.HEAD_HETEROSCEDASTIC)
         params = net.init_parameters(config, 1)
         rng = np.random.default_rng(8)
         x, y = rng.standard_normal((batch, 3)), rng.standard_normal(batch)
-        calls, released, gate_bases = [], [], []
+        events, calls = [], []
 
-        def spy(kind, kernel):
+        def spy_fwd(kind, kernel):
             def run(mean, cov, *args):
                 lent = id(cov.base) in m._pool.lent
                 out = kernel(mean, cov, *args)
-                calls.append((kind, cov, lent, cov.copy(), args, out[2]))
-                if kind in (net.MP_GELU, net.RELU):
-                    gate_bases.append(cov.base)
-                return out
-            return run
-
-        for kind in (net.DENSE, net.DROPOUT, net.MP_GELU, net.RELU):
-            monkeypatch.setattr(m, f"_{kind}_fwd", spy(kind, getattr(m, f"_{kind}_fwd")))
-        release = m._release
-
-        def recording(arr):
-            assert not any(arr.base is base for base in gate_bases), "a gate input went back"
-            released.append((arr, id(arr.base) in m._pool.lent))
-            release(arr)
-            assert id(arr.base) not in m._pool.lent
-
-        monkeypatch.setattr(m, "_release", recording)
-        for _ in range(2):  # the second step lends the first one's buffers again
-            for recorded in (calls, released, gate_bases):
-                recorded.clear()
-            tr.loss_and_gradients(config, params, x, y)
-            inputs = [(cov, lent) for kind, cov, lent, *_ in calls
-                      if kind in (net.DENSE, net.DROPOUT)]
-            assert len(released) == len(inputs)
-            for (arr, went_back), (cov, lent) in zip(released, inputs):
-                assert arr is cov and went_back == lent == (cov.ndim == 3)
-            assert sum(lent for _, lent in inputs) == pooled
-            assert gate_bases
-            for kind, _, _, cov, args, ctx in calls:
-                if kind == net.DENSE:
-                    w, wsig = args[0], ctx[2]
+                if kind == net.DENSE and args[-1] == m.FULL:
+                    w, wsig = args[0], out[2][2]
                     assert wsig.shape == (*w.shape, batch)
                     want = (np.einsum("ij,jkb->ikb", w, cov) if cov.ndim == 3
                             else w[:, :, None] * cov.T)
                     np.testing.assert_allclose(wsig, want, rtol=1e-12,
                                                atol=1e-12 * np.abs(want).max())
+                calls.append((kind, cov, lent, out))
+                events.append(("fwd", cov))
+                return out
+            return run
+
+        def spy_bwd(kernel):
+            def run(ctx, *args, **kwargs):
+                out = kernel(ctx, *args, **kwargs)
+                events.append(("bwd", ctx))
+                return out
+            return run
+
+        for kind in (net.DENSE, net.DROPOUT, net.MP_GELU, net.RELU):
+            monkeypatch.setattr(m, f"_{kind}_fwd", spy_fwd(kind, getattr(m, f"_{kind}_fwd")))
+            monkeypatch.setattr(tr, f"_{kind}_bwd", spy_bwd(getattr(tr, f"_{kind}_bwd")))
+        release = m._release
+
+        def recording(arr):
+            events.append(("release", arr, id(arr.base) in m._pool.lent))
+            release(arr)
+            assert id(arr.base) not in m._pool.lent
+
+        monkeypatch.setattr(m, "_release", recording)
+        for _ in range(2):  # the second step lends the first one's buffers again
+            events.clear()
+            calls.clear()
+            tr.loss_and_gradients(config, params, x, y)
+            # (event index, array) of each release that returned a buffer.
+            releases = [(i, ev[1]) for i, ev in enumerate(events)
+                        if ev[0] == "release" and ev[2]]
+            fwd_at = {id(ev[1]): i for i, ev in enumerate(events) if ev[0] == "fwd"}
+            bwd_at = {id(ev[1]): i for i, ev in enumerate(events) if ev[0] == "bwd"}
+            dropouts = gates = 0
+            for kind, cov, lent, (_, out_cov, ctx) in calls:
+                if cov.ndim == 2:  # per-unit variances, below the first dense layer
+                    continue
+                if kind == net.DROPOUT:
+                    # Its input went back as the layer began, for its output.
+                    dropouts += 1
+                    assert not lent and out_cov.base is cov.base
+                    continue
+                assert lent
+                back = [i for i, arr in releases if arr is cov]
+                assert len(back) == 1
+                if kind == net.DENSE:
+                    assert back[0] > fwd_at[id(cov)]
+                else:
+                    gates += 1
+                    assert ctx[2] is cov
+                    early = [i for i, arr in releases if arr.base is cov.base
+                             and fwd_at[id(cov)] < i < bwd_at[id(ctx)]]
+                    assert not early and back[0] > bwd_at[id(ctx)], "a gate input went back early"
+            assert gates == 2 and dropouts == (2 if arch == net.ARCH_RELU else 0)
+            for kind, _, _, (_, _, ctx) in calls:
+                if kind == net.DENSE:  # W Σ goes back inside its adjoint
+                    back = [i for i, arr in releases if arr is ctx[2]]
+                    assert len(back) == 1 and back[0] < bwd_at[id(ctx)]
+
+        events.clear()
+        diag = net.build_model(arch, 3, 5, 0.2, m.DIAG, net.HEAD_HETEROSCEDASTIC)
+        tr.loss_and_gradients(diag, net.init_parameters(diag, 1), x, y)
+        assert not [ev for ev in events if ev[0] == "release"]
+
+    @pytest.mark.parametrize("arch", [net.ARCH_MP_GELU, net.ARCH_RELU])
+    def test_warm_step_pool_holds_four_covariance_buffers(self, arch):
+        """Memory guard: after warm width-20 B=256 full-mode steps, a fresh
+        thread's pool holds four (20, 20, 256) buffers, against six when
+        each buffer went back only at a layer's end or the step's."""
+        config = net.build_model(arch, 13, 20, 0.05, m.FULL, net.HEAD_HETEROSCEDASTIC)
+        params = net.init_parameters(config, 0)
+        rng = np.random.default_rng(3)
+        x, y = rng.standard_normal((256, 13)), rng.standard_normal(256)
+        spare = []
+
+        def steps():
+            for _ in range(2):
+                tr.loss_and_gradients(config, params, x, y)
+            spare.extend(m._pool.spare[20, 20])
+
+        worker = threading.Thread(target=steps)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert [buf.size for buf in spare] == [20 * 20 * 256] * 4
 
 
 class TestSgdStep:
